@@ -1,6 +1,7 @@
-"""Game-dynamics learners: a configurable template plus the named
-instantiations (fast ERM-vs-Hedge, finite Hedge-vs-Exp3, cover-then-finite,
-the capped-adversary mid dynamics, and the personalized halving loop).
+"""Game-dynamics learners: fast ERM-vs-Hedge, finite Hedge-vs-Exp3,
+cover-then-finite, the capped-adversary mid dynamics, and the personalized
+halving loop over mid.  The three loops (fast, finite, mid) are written out
+separately because they share no learner, adversary or feedback step.
 
 Each run owns a seeded generator and a fresh :class:`SampleLedger`; the only
 access to the distributions is through the ledgered oracles, so the realized
@@ -49,8 +50,6 @@ from multidist.online import (
 
 DEFAULT_CONSTANTS = {"C": 4.0, "C1": 4.0, "C2": 4.0, "Cprime": 4.0, "Ceval": 4.0}
 
-LEARNER_KINDS = ("erm", "hedge_over_cover")
-ADVERSARY_KINDS = ("exp3", "hedge_full_feedback", "hedge_capped")
 ESTIMATORS = ("unbiased", "literal")
 
 # Rates are clamped into the range Hedge accepts; the lower clamp only
@@ -141,7 +140,7 @@ def _uniform_over_ids(hclass: HypothesisClass, ids: Sequence[int]) -> Randomized
 
 @dataclass(frozen=True)
 class FastParams:
-    """Schedule for the fast dynamics; formulas re-checked on construction."""
+    """Schedule for the fast dynamics, as computed by :func:`fast_params`."""
 
     epsilon: float
     alpha: float
@@ -154,14 +153,6 @@ class FastParams:
     r1: int
     r2: int
     clamped: bool = False
-
-    def __post_init__(self) -> None:
-        T = max(1, math.ceil(math.log(self.k) / (self.epsilon * self.alpha)))
-        r1 = math.ceil(self.C1 * (self.d + math.log(T / self.delta))
-                       / (self.epsilon * self.alpha))
-        r2 = math.ceil(self.C2 * math.log(self.k / self.delta) / (T * self.epsilon ** 2))
-        if (T, r1, r2) != (self.T, self.r1, self.r2):
-            raise ValueError("fast schedule fields do not match their formulas")
 
     @property
     def predicted_budget(self) -> int:
@@ -215,12 +206,12 @@ def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
     trace: list[dict] = []
     for t in range(params.T):
         pts, lbs = mixture_sample_many(instance, adversary.w, params.r1, rng, ledger)
-        h = erm(hclass, SampleBatch(pts, lbs, source="mixture"))
+        h = erm(hclass, SampleBatch(pts, lbs))
         chosen_ids.append(h.id)
         payoffs = np.empty(k)
         for i in range(k):
             bp, bl = oracle_sample_many(instance, i, params.r2, rng, ledger)
-            payoffs[i] = empirical_loss(h, SampleBatch(bp, bl, source=f"oracle:{i}"))
+            payoffs[i] = empirical_loss(h, SampleBatch(bp, bl))
         if record_trace:
             trace.append({"t": t, "adversary": adversary.w.tolist(),
                           "learner_id": h.id, "payoffs": payoffs.tolist()})
@@ -270,7 +261,9 @@ def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
         chosen = int(rng.choice(k, p=adversary.w))
         z = oracle_sample(instance, chosen, rng, ledger)
         costs = (matrix[:, z.point] != z.label).astype(np.float64)
-        observed_loss = float(learner.w @ costs)
+        # Rounding can put the mixture's loss an ulp above 1, which would
+        # hand Exp3 a negative cost.
+        observed_loss = min(1.0, float(learner.w @ costs))
         if record_trace:
             trace.append({"t": t, "adversary": adversary.w.tolist(),
                           "learner_id": int(np.argmax(learner.w)),
@@ -507,7 +500,8 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
         inner = run_mid(sub, epsilon, delta_inner, derive_seed(seed, t, 0),
                         constants=cons, estimator=estimator, vc_dim=d,
                         record_trace=False)
-        ledger.merge_from(_ledger_view(inner), active)
+        for g, count in zip(active, inner.ledger_per_oracle):
+            ledger.record(g, count)
         h_t = inner.hypothesis
         last_hypothesis = h_t
         eval_rng = make_rng(derive_seed(seed, t, 1))
@@ -536,120 +530,5 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
     return RunReport(
         algorithm="personalized", seed=seed, config=config, hypothesis=None,
         assignments=assignments,
-        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
-        trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)
-
-
-def _ledger_view(report: RunReport) -> SampleLedger:
-    ledger = SampleLedger(len(report.ledger_per_oracle))
-    for i, count in enumerate(report.ledger_per_oracle):
-        ledger.record(i, count)
-    return ledger
-
-
-# ---------------------------------------------------------------------------
-# configurable template
-
-
-@dataclass(frozen=True)
-class DynamicsConfig:
-    """Knobs for the generic learner-vs-adversary loop."""
-
-    T: int
-    n_learn: int = 1
-    n_adv: int = 1
-    eta_learner: float = 0.1
-    eta_adversary: float = 0.1
-    learner_kind: str = "erm"
-    adversary_kind: str = "hedge_full_feedback"
-
-    def __post_init__(self) -> None:
-        if self.T < 1:
-            raise ValueError("T must be ≥ 1")
-        if self.n_learn < 1:
-            raise ValueError("n_learn must be ≥ 1")
-        if self.n_adv < 0:
-            raise ValueError("n_adv must be ≥ 0")
-        for eta in (self.eta_learner, self.eta_adversary):
-            if not 0 < eta <= _RATE_CEIL:
-                raise ValueError(f"rates must be in (0, {_RATE_CEIL}]")
-        if self.learner_kind not in LEARNER_KINDS:
-            raise ValueError(f"unknown learner kind {self.learner_kind!r}")
-        if self.adversary_kind not in ADVERSARY_KINDS:
-            raise ValueError(f"unknown adversary kind {self.adversary_kind!r}")
-
-
-def run_dynamics(instance: MdlInstance, cfg: DynamicsConfig, seed: int,
-                 cover: HypothesisClass | None = None,
-                 record_trace: bool = True) -> RunReport:
-    """T rounds of the template: the learner responds to the adversary's
-    current mixture, the adversary updates on sampled losses of the
-    learner's play.  Returns the uniform mixture over learner iterates.
-    """
-    t0 = time.perf_counter()
-    k = instance.k
-    hclass = cover if cover is not None else instance.hypothesis_class
-    if hclass.domain_size != instance.domain_size:
-        raise ValueError("cover domain does not match the instance")
-    if cfg.adversary_kind != "exp3" and cfg.n_adv < 1:
-        raise ValueError("hedge adversaries need n_adv >= 1")
-    matrix = hclass.matrix
-    rng = make_rng(seed)
-    ledger = SampleLedger(k)
-    cap = min(1.0, 2.0 / k) if cfg.adversary_kind == "hedge_capped" else None
-    adversary = SimplexWeights.uniform(k, cap=cap)
-    exploration = min(1.0, math.sqrt(k * math.log(max(k, 2)) / cfg.T))
-    learner = SimplexWeights.uniform(len(hclass))
-    mean_weights = np.zeros(len(hclass))
-    chosen_ids: list[int] = []
-    trace: list[dict] = []
-
-    for t in range(cfg.T):
-        pts, lbs = mixture_sample_many(instance, adversary.w, cfg.n_learn, rng, ledger)
-        batch = SampleBatch(pts, lbs, source="mixture")
-        if cfg.learner_kind == "erm":
-            h = erm(hclass, batch)
-            chosen_ids.append(h.id)
-            play: RandomizedHypothesis | Hypothesis = h
-            learner_id = h.id
-        else:
-            costs = (matrix[:, pts] != lbs).mean(axis=1)
-            mean_weights += learner.w
-            play = RandomizedHypothesis.from_weights(hclass.hypotheses, learner.w)
-            learner_id = int(np.argmax(learner.w))
-            learner = hedge_step_cost(learner, costs, cfg.eta_learner)
-
-        if cfg.adversary_kind == "exp3":
-            chosen = int(rng.choice(k, p=adversary.w))
-            z = oracle_sample(instance, chosen, rng, ledger)
-            loss = (float(zero_one_loss(play, z)) if isinstance(play, Hypothesis)
-                    else play.expected_loss(z))
-            feedback: dict = {"chosen": chosen, "observed_loss": loss}
-            next_adversary = exp3_step(adversary, chosen, 1.0 - loss,
-                                       max(exploration / k, _RATE_FLOOR), exploration)
-        else:
-            payoffs = np.empty(k)
-            for i in range(k):
-                bp, bl = oracle_sample_many(instance, i, cfg.n_adv, rng, ledger)
-                payoffs[i] = empirical_loss(play, SampleBatch(bp, bl))
-            feedback = {"payoffs": payoffs.tolist()}
-            next_adversary = hedge_step_payoff(adversary, payoffs, cfg.eta_adversary)
-
-        if record_trace:
-            trace.append({"t": t, "adversary": adversary.w.tolist(),
-                          "learner_id": learner_id, **feedback})
-        adversary = next_adversary
-
-    if cfg.learner_kind == "erm":
-        mixture = _uniform_over_ids(hclass, chosen_ids)
-    else:
-        mixture = RandomizedHypothesis.from_weights(hclass.hypotheses,
-                                                    mean_weights / cfg.T)
-    config = {"T": cfg.T, "n_learn": cfg.n_learn, "n_adv": cfg.n_adv,
-              "eta_learner": cfg.eta_learner, "eta_adversary": cfg.eta_adversary,
-              "learner_kind": cfg.learner_kind, "adversary_kind": cfg.adversary_kind,
-              "exploration": exploration, "class_size": len(hclass)}
-    return RunReport(
-        algorithm="dynamics", seed=seed, config=config, hypothesis=mixture,
         ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
         trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)

@@ -30,8 +30,6 @@ from multidist.evaluate import (
     InstanceSpec,
     brute_force_opt,
     generate,
-    max_loss,
-    smooth_argmax,
 )
 from multidist.model import (
     CLASS_FAMILIES,
@@ -42,6 +40,7 @@ from multidist.model import (
     derive_seed,
     exact_loss,
 )
+from multidist.online import smooth_argmax
 
 ALGORITHMS = ("fast", "finite", "cover_finite", "mid", "personalized", "argmin_stub")
 
@@ -115,26 +114,28 @@ def _argmin_stub(instance: MdlInstance, seed: int) -> RunReport:
                      trace=[])
 
 
-def _run_algorithm(algo: str, instance: MdlInstance, task: dict) -> RunReport:
+def _run_algorithm(algo: str, instance: MdlInstance, task: dict,
+                   vc_dim: int | None) -> RunReport:
+    """Run one algorithm; a `vc_dim` of None lets it compute the VC itself."""
     epsilon, delta, alpha = task["epsilon"], task["delta"], task["alpha"]
     seed, constants = task["run_seed"], task["constants"]
     trace = task.get("trace", True)
     if algo == "fast":
-        return run_fast(instance, epsilon, alpha, delta, seed,
-                        constants=constants, record_trace=trace)
+        return run_fast(instance, epsilon, alpha, delta, seed, constants=constants,
+                        vc_dim=vc_dim, record_trace=trace)
     if algo == "finite":
         return run_finite(instance, epsilon, delta, seed,
                           constants=constants, record_trace=trace)
     if algo == "cover_finite":
-        return run_cover_then_finite(instance, epsilon, delta, seed,
-                                     constants=constants, record_trace=trace)
+        return run_cover_then_finite(instance, epsilon, delta, seed, constants=constants,
+                                     vc_dim=vc_dim, record_trace=trace)
     if algo == "mid":
         return run_mid(instance, epsilon, delta, seed, constants=constants,
-                       estimator=task["estimator"], record_trace=trace)
+                       estimator=task["estimator"], vc_dim=vc_dim, record_trace=trace)
     if algo == "personalized":
         return run_personalized(instance, epsilon, delta, seed,
-                                constants=constants,
-                                estimator=task["estimator"], record_trace=trace)
+                                constants=constants, estimator=task["estimator"],
+                                vc_dim=vc_dim, record_trace=trace)
     if algo == "argmin_stub":
         return _argmin_stub(instance, seed)
     raise ValueError(f"unknown algorithm {algo!r}")
@@ -147,13 +148,12 @@ def _evaluate_run(instance: MdlInstance, report: RunReport, epsilon: float,
     if report.assignments is not None:
         losses = [exact_loss(instance.distributions[i], h)
                   for i, h in sorted(report.assignments.items())]
-        value = max(losses)
-        worst = losses.index(value)
         smooth = None
     else:
-        value, worst = max_loss(instance, report.hypothesis)
-        per_dist = [exact_loss(d, report.hypothesis) for d in instance.distributions]
-        smooth = smooth_argmax(per_dist, cap)[0]
+        losses = [exact_loss(d, report.hypothesis) for d in instance.distributions]
+        smooth = smooth_argmax(losses, cap)[0]
+    value = max(losses)
+    worst = losses.index(value)
     bound = epsilon + (1.0 + alpha) * opt.opt_value
     return {
         "opt": opt.opt_value,
@@ -173,19 +173,28 @@ def _vc_or_none(instance: MdlInstance) -> int | None:
         return None
 
 
-def _solve_task(task: dict) -> dict:
-    """One (instance, algorithm, seed) cell -> CSV row dict."""
+def _new_row(task: dict) -> dict:
     row = {col: None for col in CSV_COLUMNS}
     row.update(algorithm=task["algo"], seed=task["row_seed"],
                epsilon=task["epsilon"], delta=task["delta"],
                alpha=task["alpha"], error="")
-    try:
-        instance = _instance_from_task(task)
+    return row
+
+
+def _run_cell(task: dict, row: dict | None) -> tuple[RunReport, dict]:
+    """Generate, run and evaluate one cell, filling `row` (if given) as it goes.
+
+    The VC dimension is computed once, for the row, and handed to the run.
+    """
+    instance = _instance_from_task(task)
+    vc_dim = None
+    if row is not None:
+        vc_dim = _vc_or_none(instance)
         row.update(n=instance.domain_size, k=instance.k,
-                   class_size=len(instance.hypothesis_class),
-                   vc_dim=_vc_or_none(instance))
-        report = _run_algorithm(task["algo"], instance, task)
-        ev = _evaluate_run(instance, report, task["epsilon"], task["alpha"])
+                   class_size=len(instance.hypothesis_class), vc_dim=vc_dim)
+    report = _run_algorithm(task["algo"], instance, task, vc_dim)
+    ev = _evaluate_run(instance, report, task["epsilon"], task["alpha"])
+    if row is not None:
         row.update(
             samples_total=report.ledger_total,
             samples_max_per_oracle=max(report.ledger_per_oracle),
@@ -195,12 +204,22 @@ def _solve_task(task: dict) -> dict:
             wall_ms=report.wall_ms if task.get("timing") else None,
             eps_ok=ev["eps_ok"],
         )
+    return report, ev
+
+
+def _solve_task(task: dict) -> dict:
+    """One (instance, algorithm, seed) cell -> CSV row dict."""
+    row = _new_row(task)
+    try:
+        _run_cell(task, row)
     except Exception as exc:  # recorded, not raised: sweeps keep going
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
 def _run_cells(tasks: list[dict], jobs: int) -> list[dict]:
+    if jobs < 1:
+        raise ValueError("--jobs must be ≥ 1")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_solve_task, tasks))
@@ -292,15 +311,14 @@ def cmd_solve(args) -> int:
                 instance_seed=args.instance_seed if args.instance_seed is not None
                 else args.seed,
                 trace=not args.no_trace)
-    instance = _instance_from_task(task)
-    report = _run_algorithm(task["algo"], instance, task)
-    ev = _evaluate_run(instance, report, args.epsilon, args.alpha)
+    row = _new_row(task) if args.csv else None
+    report, ev = _run_cell(task, row)
     payload = report.to_dict(include_timing=args.timing,
                              include_trace=not args.no_trace)
     payload["evaluation"] = ev
     _write_json(args.out, payload)
-    if args.csv:
-        _write_csv(args.csv, [_solve_task(task)])
+    if row is not None:
+        _write_csv(args.csv, [row])
     return 0
 
 

@@ -1,4 +1,8 @@
-"""Empirical risk minimization and projection coverings of a class."""
+"""Empirical loss, exhaustive ERM, and projection coverings of a class.
+
+Nothing here samples: callers draw through the ledgered oracles in
+:mod:`multidist.model` and pass the draws in as a :class:`SampleBatch`.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from multidist.model import (
-    Hypothesis,
-    HypothesisClass,
-    LabeledExample,
-    MdlInstance,
-    RandomizedHypothesis,
-    SampleLedger,
-    brute_force_vc,
-    mixture_sample_many,
-    oracle_sample_many,
-)
+from multidist.model import Hypothesis, HypothesisClass, RandomizedHypothesis
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,16 +21,9 @@ class SampleBatch:
 
     points: np.ndarray
     labels: np.ndarray
-    source: str = ""
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @classmethod
-    def from_examples(cls, examples: Sequence[LabeledExample], source: str = "") -> "SampleBatch":
-        return cls(np.array([z.point for z in examples], dtype=np.int64),
-                   np.array([z.label for z in examples], dtype=np.int64),
-                   source)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,36 +55,6 @@ def erm(hclass: HypothesisClass, batch: SampleBatch) -> Hypothesis:
         raise ValueError("empty class")
     errors = (hclass.matrix[:, batch.points] != batch.labels).mean(axis=1)
     return hclass.hypotheses[int(np.argmin(errors))]
-
-
-def agnostic_sample_size(d: int, epsilon: float, alpha: float, delta: float,
-                         C1: float = 4.0) -> int:
-    return math.ceil(C1 * (d + math.log(1.0 / delta)) / (epsilon * alpha))
-
-
-def agnostic_learn(instance: MdlInstance, hclass: HypothesisClass,
-                   target: int | Sequence[float], epsilon: float, alpha: float,
-                   delta: float, C1: float, rng: np.random.Generator,
-                   ledger: SampleLedger, vc_dim: int | None = None) -> Hypothesis:
-    """ERM on a fresh ledgered sample sized for an agnostic guarantee.
-
-    `target` is either an oracle index or mixture weights over the oracles.
-    The (epsilon, alpha, delta) guarantee is statistical; the postcondition
-    here is only the exact sample count and the exact ERM.
-    """
-    if not 0 < epsilon < 0.5 or not 0 < alpha < 0.5:
-        raise ValueError("epsilon and alpha must be in (0, 0.5)")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    d = brute_force_vc(hclass, instance.domain_size) if vc_dim is None else vc_dim
-    count = agnostic_sample_size(d, epsilon, alpha, delta, C1)
-    if isinstance(target, (int, np.integer)):
-        points, labels = oracle_sample_many(instance, int(target), count, rng, ledger)
-        source = f"oracle:{int(target)}"
-    else:
-        points, labels = mixture_sample_many(instance, target, count, rng, ledger)
-        source = "mixture"
-    return erm(hclass, SampleBatch(points, labels, source))
 
 
 def projection_cover(hclass: HypothesisClass, points: Sequence[int]) -> CoverResult:

@@ -1,14 +1,16 @@
-"""Exact ground truth: brute-force optima, worst-case losses, generators.
+"""Exact ground truth: brute-force optima, worst-case losses, the
+majority-subset bound check, and instance generators.
 
 This is the only module allowed to read distribution masses directly.
-Algorithms are audited against the quantities computed here; they never
-call into this module themselves.
+Algorithms are audited against the quantities computed here; neither they
+nor the no-regret primitives in :mod:`multidist.online` import this module.
+The exact 2-smooth maximum, ``smooth_argmax``, lives in ``online`` and is
+re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from multidist.model import (
     exact_loss,
     make_rng,
 )
+from multidist.online import smooth_argmax
 
 OPT_CELL_GUARD = 10_000_000
 MINORITY_MAX_K = 12
@@ -69,60 +72,6 @@ def max_loss(instance: MdlInstance,
     losses = _per_distribution_losses(instance, h)
     worst = int(np.argmax(losses))
     return float(losses[worst]), worst
-
-
-@dataclass(frozen=True)
-class EpsOptimality:
-    ok: bool
-    slack: float
-    max_loss: float
-    worst_index: int
-    opt: float
-    epsilon: float
-    alpha: float
-
-
-def check_eps_optimal(instance: MdlInstance, h: Hypothesis | RandomizedHypothesis,
-                      epsilon: float, alpha: float = 0.0,
-                      opt: OptResult | None = None) -> EpsOptimality:
-    """Is max-loss <= epsilon + (1+alpha)*OPT?  Negative slack means no.
-
-    Randomized outputs may beat the deterministic benchmark, so the slack
-    can exceed epsilon.
-    """
-    if not 0 <= epsilon < 1:
-        raise ValueError("epsilon must be in [0, 1)")
-    if opt is None:
-        opt = brute_force_opt(instance)
-    value, worst = max_loss(instance, h)
-    bound = epsilon + (1.0 + alpha) * opt.opt_value
-    return EpsOptimality(ok=value <= bound, slack=float(bound - value),
-                         max_loss=value, worst_index=worst,
-                         opt=opt.opt_value, epsilon=epsilon, alpha=alpha)
-
-
-def smooth_argmax(losses: Sequence[float], cap: float) -> tuple[float, np.ndarray]:
-    """Exact maximum of <w, losses> over the capped simplex {w : w_i <= cap}.
-
-    Greedy is exact for a linear objective: pour mass `cap` onto the largest
-    coordinates until the unit budget runs out.  Ties go to the lowest index.
-    """
-    v = np.asarray(losses, dtype=np.float64)
-    k = len(v)
-    if k < 1:
-        raise ValueError("need at least one coordinate")
-    if cap <= 0 or cap * k < 1.0 - 1e-12:
-        raise ValueError(f"infeasible cap {cap} for dimension {k}")
-    order = np.argsort(-v, kind="stable")
-    weights = np.zeros(k, dtype=np.float64)
-    remaining = 1.0
-    for idx in order:
-        take = min(cap, remaining)
-        weights[idx] = take
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return float(weights @ v), weights
 
 
 def minority_bound_check(instance: MdlInstance,

@@ -266,16 +266,6 @@ class SampleLedger:
         self.per_oracle[oracle] += count
         self.total += count
 
-    def merge_from(self, other: "SampleLedger", index_map: Sequence[int]) -> None:
-        """Fold a sub-run's ledger into this one, remapping oracle indices."""
-        if len(index_map) != len(other.per_oracle):
-            raise ValueError("index map must cover the merged ledger")
-        for local, count in enumerate(other.per_oracle):
-            self.record(index_map[local], count)
-
-    def snapshot(self) -> dict:
-        return {"per_oracle": list(self.per_oracle), "total": self.total}
-
 
 class MdlInstance:
     """k finite-support distributions plus an explicit hypothesis class."""

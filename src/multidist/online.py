@@ -1,5 +1,6 @@
 """No-regret primitives: Hedge for costs and payoffs, capped-simplex
-projection, an Exp3 step, and exact regret accounting.
+projection and linear maximization, an Exp3 step, and exact regret
+accounting.
 
 All updates are pure functions from weights to weights.  Weight vectors
 carry an optional per-coordinate cap; a capped Hedge step is the plain
@@ -16,12 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from multidist.evaluate import smooth_argmax
 from multidist.model import SUM_TOL
-
-# The regret guarantees are stated for rates in (0, 0.5]; the update itself
-# is well defined for any positive rate, so only positivity is enforced here.
-ETA_MAX = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +129,7 @@ def hedge_step_cost(w: SimplexWeights, costs: CostVector | Sequence[float],
 def hedge_step_payoff(w: SimplexWeights, payoffs: CostVector | Sequence[float],
                       eta: float) -> SimplexWeights:
     """Multiplicative-weights step rewarding per-coordinate payoffs."""
-    _check_eta(eta)
-    rho = _cost_values(payoffs, len(w))
-    scaled = w.w * np.exp(eta * rho)
-    if w.cap is None:
-        return SimplexWeights(scaled / scaled.sum())
-    return project_capped(scaled, w.cap)
+    return hedge_step_cost(w, -_cost_values(payoffs, len(w)), eta)
 
 
 def exp3_step(w: SimplexWeights, chosen: int, observed_cost: float, eta: float,
@@ -164,6 +155,30 @@ def exp3_step(w: SimplexWeights, chosen: int, observed_cost: float, eta: float,
     p = scaled / scaled.sum()
     p = (1.0 - exploration) * p + exploration / d
     return SimplexWeights(p)
+
+
+def smooth_argmax(losses: Sequence[float], cap: float) -> tuple[float, np.ndarray]:
+    """Exact maximum of <w, losses> over the capped simplex {w : w_i <= cap}.
+
+    Greedy is exact for a linear objective: pour mass `cap` onto the largest
+    coordinates until the unit budget runs out.  Ties go to the lowest index.
+    """
+    v = np.asarray(losses, dtype=np.float64)
+    k = len(v)
+    if k < 1:
+        raise ValueError("need at least one coordinate")
+    if cap <= 0 or cap * k < 1.0 - 1e-12:
+        raise ValueError(f"infeasible cap {cap} for dimension {k}")
+    order = np.argsort(-v, kind="stable")
+    weights = np.zeros(k, dtype=np.float64)
+    remaining = 1.0
+    for idx in order:
+        take = min(cap, remaining)
+        weights[idx] = take
+        remaining -= take
+        if remaining <= 0.0:
+            break
+    return float(weights @ v), weights
 
 
 def _action_matrix(actions: Sequence[SimplexWeights | Sequence[float]]) -> np.ndarray:

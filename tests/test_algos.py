@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from helpers import suite_instance
 from multidist.algos import (
-    DynamicsConfig,
-    FastParams,
     fast_params,
     median_filter,
     mid_adversary_estimate,
     run_cover_then_finite,
-    run_dynamics,
     run_fast,
     run_finite,
     run_mid,
@@ -59,12 +56,6 @@ class TestFastParams:
     def test_predicted_budget_formula(self):
         p = fast_params(0.3, 0.3, 0.2, k=4, d=2)
         assert p.predicted_budget == p.T * (p.r1 + p.k * p.r2)
-
-    def test_tampered_fields_rejected(self):
-        p = fast_params(0.3, 0.3, 0.2, k=4, d=2)
-        with pytest.raises(ValueError):
-            FastParams(epsilon=p.epsilon, alpha=p.alpha, delta=p.delta, k=p.k,
-                       d=p.d, C1=p.C1, C2=p.C2, T=p.T + 1, r1=p.r1, r2=p.r2)
 
     def test_k_one_still_runs_one_round(self):
         assert fast_params(0.2, 0.25, 0.1, k=1, d=2).T == 1
@@ -337,62 +328,3 @@ class TestRunPersonalized:
         a = run_personalized(inst, 0.3, 0.3, seed=4).to_dict()
         b = run_personalized(inst, 0.3, 0.3, seed=4).to_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-class TestRunDynamics:
-    def test_k_one_erm_collapses_to_repeated_erm(self):
-        inst = generate(InstanceSpec("realizable", n=6, k=1, class_size=10, seed=31))
-        cfg = DynamicsConfig(T=12, n_learn=40, n_adv=1, learner_kind="erm")
-        rep = run_dynamics(inst, cfg, seed=6)
-        assert max_loss(inst, rep.hypothesis)[0] <= brute_force_opt(inst).opt_value + 0.15
-
-    def test_t_one_returns_single_iterate(self):
-        inst = suite_instance(1)
-        cfg = DynamicsConfig(T=1, n_learn=5, n_adv=1, learner_kind="erm")
-        rep = run_dynamics(inst, cfg, seed=7)
-        assert len(rep.hypothesis.atoms) == 1
-        assert rep.hypothesis.atoms[0][0].id == rep.trace[0]["learner_id"]
-
-    @pytest.mark.parametrize("adversary", ["exp3", "hedge_full_feedback",
-                                           "hedge_capped"])
-    @pytest.mark.parametrize("learner", ["erm", "hedge_over_cover"])
-    def test_adversary_weights_stay_valid(self, adversary, learner):
-        inst = suite_instance(2)
-        cfg = DynamicsConfig(T=20, n_learn=3, n_adv=2, learner_kind=learner,
-                             adversary_kind=adversary)
-        rep = run_dynamics(inst, cfg, seed=8)
-        cap = min(1.0, 2.0 / inst.k) if adversary == "hedge_capped" else 1.0
-        for rec in rep.trace:
-            w = np.asarray(rec["adversary"])
-            assert abs(w.sum() - 1.0) <= 1e-9
-            assert np.all(w >= 0) and float(w.max()) <= cap + 1e-12
-
-    def test_ledger_accounting(self):
-        inst = suite_instance(3)
-        cfg = DynamicsConfig(T=10, n_learn=4, n_adv=2,
-                             adversary_kind="hedge_full_feedback")
-        rep = run_dynamics(inst, cfg, seed=9)
-        assert rep.ledger_total == 10 * (4 + inst.k * 2)
-        cfg2 = DynamicsConfig(T=10, n_learn=4, adversary_kind="exp3")
-        rep2 = run_dynamics(inst, cfg2, seed=9)
-        assert rep2.ledger_total == 10 * (4 + 1)
-
-    def test_hedge_learner_over_supplied_cover(self):
-        from multidist.cover import projection_cover
-
-        inst = suite_instance(4)
-        cover = projection_cover(inst.hypothesis_class,
-                                 list(range(inst.domain_size // 2)))
-        cfg = DynamicsConfig(T=15, n_learn=2, n_adv=1,
-                             learner_kind="hedge_over_cover")
-        rep = run_dynamics(inst, cfg, seed=10, cover=cover.subclass)
-        assert rep.config["class_size"] == len(cover.subclass)
-        assert rep.hypothesis.total_weight() == pytest.approx(1.0, abs=1e-9)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DynamicsConfig(T=0)
-        with pytest.raises(ValueError):
-            DynamicsConfig(T=1, eta_learner=0.7)
-        with pytest.raises(ValueError):
-            DynamicsConfig(T=1, learner_kind="bogus")

@@ -3,13 +3,26 @@ import json
 
 import pytest
 
-from multidist import cli
-from multidist.evaluate import brute_force_opt
-from multidist.model import MdlInstance
+from multidist import algos, cli
+from multidist.algos import RunReport
+from multidist.evaluate import InstanceSpec, brute_force_opt, generate
+from multidist.model import (
+    FiniteDistribution,
+    HypothesisClass,
+    MdlInstance,
+    RandomizedHypothesis,
+)
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _counted(fn, calls: list):
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 class TestGen:
@@ -59,6 +72,14 @@ class TestSolve:
         assert float(row["opt"]) == report["evaluation"]["opt"]
         assert float(row["max_loss"]) == report["evaluation"]["max_loss"]
         assert row["wall_ms"] == ""  # timing omitted unless requested
+
+    def test_csv_runs_algorithm_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_fast", _counted(cli.run_fast, calls))
+        assert run_cli("solve", "--algo", "fast", "--family", "random", "--n", "6",
+                       "--k", "3", "--seed", "3", "--out", str(tmp_path / "r.json"),
+                       "--csv", str(tmp_path / "row.csv")) == 0
+        assert len(calls) == 1
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -112,6 +133,33 @@ class TestSweep:
         run_cli(*base, "--jobs", "2", "--out", str(parallel))
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_jobs_below_one_rejected(self, tmp_path):
+        for command in ("sweep", "audit"):
+            code = run_cli(command, "--algo", "finite", "--family", "random",
+                           "--jobs", "0", "--out", str(tmp_path / "x"))
+            assert code == 2
+
+    def test_one_vc_computation_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        counting = _counted(cli.brute_force_vc, calls)
+        monkeypatch.setattr(cli, "brute_force_vc", counting)
+        monkeypatch.setattr(algos, "brute_force_vc", counting)
+        assert run_cli("sweep", "--algo", "fast", "--family", "random", "--n", "6",
+                       "--k", "3", "--seeds", "1", "--out", str(tmp_path / "s.csv")) == 0
+        assert len(calls) == 1
+
+    def test_finite_cells_survive_rounding_of_mixture_loss(self, tmp_path):
+        # On these seeds the learner mixture's loss rounds an ulp above 1;
+        # unclamped, that hands Exp3 a negative cost.
+        out = tmp_path / "fin.csv"
+        assert run_cli("sweep", "--algo", "finite", "--family", "random",
+                       "--n", "12", "--k", "4", "--class-size", "1024",
+                       "--epsilon", "0.2", "--delta", "0.2", "--alpha", "0.25",
+                       "--seeds", "111,196,278", "--out", str(out)) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 3
+        assert all(row["error"] == "" for row in rows)
+
     def test_fast_budget_monotone_in_epsilon(self, tmp_path):
         out = tmp_path / "mono.csv"
         run_cli("sweep", "--algo", "fast", "--family", "random", "--n", "6",
@@ -138,6 +186,54 @@ class TestSweep:
                 "--seeds", "1", "--out", str(out))
         header = out.read_text().splitlines()[0]
         assert header == ",".join(cli.CSV_COLUMNS)
+
+
+def _one_point_instance():
+    # one point, two distributions with opposite labels, constant hypotheses
+    d0 = FiniteDistribution([(0, 0, 1.0)])
+    d1 = FiniteDistribution([(0, 1, 1.0)])
+    return MdlInstance(1, [d0, d1], HypothesisClass([[0], [1]]))
+
+
+def _evaluate(instance, weights, epsilon, alpha=0.0):
+    hypothesis = RandomizedHypothesis.from_weights(
+        instance.hypothesis_class.hypotheses, weights)
+    report = RunReport(algorithm="fixed", seed=0, config={}, hypothesis=hypothesis,
+                       ledger_per_oracle=[0] * instance.k, ledger_total=0, trace=[])
+    return cli._evaluate_run(instance, report, epsilon, alpha)
+
+
+class TestEvaluateRun:
+    """eps_ok is max_loss <= epsilon + (1 + alpha) * OPT; slack is the margin."""
+
+    def test_exact_argmin_passes_at_zero(self):
+        inst = generate(InstanceSpec("random", n=6, k=3, class_size=10, seed=4))
+        weights = [0.0] * len(inst.hypothesis_class)
+        weights[brute_force_opt(inst).argmin_id] = 1.0
+        assert _evaluate(inst, weights, 0.0)["eps_ok"]
+
+    def test_mixture_may_beat_deterministic_opt(self):
+        # OPT = 1, bound = 1.2, the mixture's worst loss is 0.8
+        ev = _evaluate(_one_point_instance(), [0.8, 0.2], 0.2)
+        assert ev["eps_ok"] and ev["slack"] == pytest.approx(0.4, abs=1e-12)
+        assert ev["worst_index"] == 1
+
+    def test_arithmetic_of_failure(self):
+        d = FiniteDistribution([(0, 1, 0.5), (1, 0, 0.5)])
+        inst = MdlInstance(2, [d], HypothesisClass([[0, 0], [1, 0]]))  # OPT = 0
+        ev = _evaluate(inst, [1.0, 0.0], 0.2)  # loss 0.5
+        assert not ev["eps_ok"]
+        assert ev["slack"] == pytest.approx(-0.3, abs=1e-12)
+        assert ev["excess"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_alpha_relaxed_form(self):
+        # OPT = 0.4, alpha = 0.25, max_loss = 0.55, eps = 0.1 -> 0.55 <= 0.6
+        d = FiniteDistribution([(0, 0, 0.55), (0, 1, 0.40), (1, 1, 0.05)])
+        inst = MdlInstance(2, [d], HypothesisClass([[1, 1], [0, 1]]))
+        ev = _evaluate(inst, [1.0, 0.0], 0.1, alpha=0.25)
+        assert ev["opt"] == pytest.approx(0.4, abs=1e-12)
+        assert ev["max_loss"] == pytest.approx(0.55, abs=1e-12)
+        assert ev["eps_ok"] and ev["slack"] == pytest.approx(0.05, abs=1e-12)
 
 
 class TestAudit:

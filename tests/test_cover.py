@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 from helpers import hypothesis_classes, suite_instance
 from multidist.cover import (
     SampleBatch,
-    agnostic_learn,
-    agnostic_sample_size,
     cover_sample_size,
     empirical_loss,
     erm,
     projection_cover,
 )
-from multidist.evaluate import InstanceSpec, brute_force_opt, generate
+from multidist.evaluate import InstanceSpec, generate
 from multidist.model import (
     FiniteDistribution,
     Hypothesis,
     HypothesisClass,
-    MdlInstance,
     RandomizedHypothesis,
     SampleLedger,
     brute_force_vc,
@@ -108,49 +105,6 @@ class TestErm:
         cls = HypothesisClass([[0]])
         with pytest.raises(ValueError):
             erm(cls, _batch([]))
-
-
-class TestAgnosticLearn:
-    def _instance(self):
-        dists = [FiniteDistribution([(0, 1, 0.5), (1, 0, 0.5)]),
-                 FiniteDistribution([(2, 1, 1.0)])]
-        cls = HypothesisClass([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
-        return MdlInstance(3, dists, cls)
-
-    def test_degenerate_returns_consistent(self):
-        inst = self._instance()
-        ledger = SampleLedger(inst.k)
-        h = agnostic_learn(inst, inst.hypothesis_class, 1, 0.2, 0.25, 0.2,
-                           4.0, make_rng(0), ledger)
-        assert exact_loss(inst.distributions[1], h) == 0.0
-
-    def test_ledger_increases_by_exact_count(self):
-        inst = self._instance()
-        ledger = SampleLedger(inst.k)
-        d = brute_force_vc(inst.hypothesis_class, inst.domain_size)
-        agnostic_learn(inst, inst.hypothesis_class, 0, 0.2, 0.25, 0.2,
-                       4.0, make_rng(0), ledger)
-        assert ledger.total == agnostic_sample_size(d, 0.2, 0.25, 0.2, 4.0)
-        assert ledger.per_oracle[0] == ledger.total
-
-    def test_statistical_guarantee(self):
-        # brute-force best-in-class on one distribution as the benchmark
-        inst = generate(InstanceSpec("random", n=8, k=3, class_size=20, seed=41))
-        best = float(brute_force_opt(inst).loss_matrix[0].min())
-        fails = 0
-        for s in range(100):
-            ledger = SampleLedger(inst.k)
-            h = agnostic_learn(inst, inst.hypothesis_class, 0, 0.2, 0.25, 0.2,
-                               4.0, make_rng(derive_seed(7, s)), ledger)
-            if exact_loss(inst.distributions[0], h) > 0.2 + 1.25 * best:
-                fails += 1
-        assert fails <= 30
-
-    def test_parameter_ranges(self):
-        inst = self._instance()
-        with pytest.raises(ValueError):
-            agnostic_learn(inst, inst.hypothesis_class, 0, 0.7, 0.25, 0.2,
-                           4.0, make_rng(0), SampleLedger(inst.k))
 
 
 class TestProjectionCover:

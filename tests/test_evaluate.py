@@ -7,7 +7,6 @@ from helpers import small_instances
 from multidist.evaluate import (
     InstanceSpec,
     brute_force_opt,
-    check_eps_optimal,
     generate,
     loss_matrix,
     max_loss,
@@ -98,44 +97,6 @@ class TestMaxLoss:
         h = inst.hypothesis_class.hypotheses[0]
         perm = inst.restrict([2, 1, 0])
         assert max_loss(inst, h)[0] == pytest.approx(max_loss(perm, h)[0], abs=1e-15)
-
-
-class TestCheckEpsOptimal:
-    def test_exact_argmin_passes_at_zero(self):
-        inst = generate(InstanceSpec("random", n=6, k=3, class_size=10, seed=4))
-        result = brute_force_opt(inst)
-        h = inst.hypothesis_class.hypotheses[result.argmin_id]
-        assert check_eps_optimal(inst, h, 0.0).ok
-
-    def test_failing_margin_is_reported(self):
-        inst = _opposed_instance()
-        # max_loss = OPT + 0.3 shape: build via a mixture with worst loss 0.8
-        mix = RandomizedHypothesis.from_weights(
-            inst.hypothesis_class.hypotheses, [0.8, 0.2])
-        check = check_eps_optimal(inst, mix, 0.2)
-        # benchmark: OPT = 1, bound = 1.2, value = 0.8 -> generous slack
-        assert check.ok and check.slack == pytest.approx(0.4, abs=1e-12)
-
-    def test_arithmetic_of_failure(self):
-        d = FiniteDistribution([(0, 1, 0.5), (1, 0, 0.5)])
-        cls = HypothesisClass([[0, 0], [1, 0]])
-        inst = MdlInstance(2, [d], cls)  # OPT = 0 via [1, 0]
-        bad = inst.hypothesis_class.hypotheses[0]  # loss 0.5
-        check = check_eps_optimal(inst, bad, 0.2)
-        assert not check.ok
-        assert check.slack == pytest.approx(-0.3, abs=1e-12)
-
-    def test_alpha_relaxed_form(self):
-        # OPT = 0.4, alpha = 0.25, max_loss = 0.55, eps = 0.1 -> 0.55 <= 0.6
-        d = FiniteDistribution([(0, 0, 0.55), (0, 1, 0.40), (1, 1, 0.05)])
-        cls = HypothesisClass([[1, 1], [0, 1]])
-        inst = MdlInstance(2, [d], cls)
-        opt = brute_force_opt(inst)
-        assert opt.opt_value == pytest.approx(0.4, abs=1e-12)
-        h = inst.hypothesis_class.hypotheses[0]  # loss 0.55
-        assert max_loss(inst, h)[0] == pytest.approx(0.55, abs=1e-12)
-        check = check_eps_optimal(inst, h, 0.1, alpha=0.25, opt=opt)
-        assert check.ok and check.slack == pytest.approx(0.05, abs=1e-12)
 
 
 class TestSmoothArgmax:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import simplex_vectors
+import multidist.online
 from multidist.online import (
     CostVector,
     RegretLedger,
@@ -97,6 +101,19 @@ class TestHedgePayoff:
         via_payoff = hedge_step_payoff(w, rho, 0.3)
         via_cost = hedge_step_cost(w, 1.0 - rho, 0.3)
         assert np.allclose(via_payoff.w, via_cost.w, atol=1e-12)
+
+    @pytest.mark.parametrize("cap", [None, 0.3])
+    def test_bitwise_equal_to_direct_payoff_update(self, cap):
+        rng = np.random.default_rng(303)
+        for _ in range(50):
+            w = SimplexWeights.uniform(5, cap=cap)
+            for _ in range(20):
+                rho = rng.random(5)
+                scaled = w.w * np.exp(0.4 * rho)
+                direct = (scaled / scaled.sum() if cap is None
+                          else project_capped(scaled, cap).w)
+                w = hedge_step_payoff(w, rho, 0.4)
+                assert np.array_equal(w.w, direct)
 
     def test_payoff_regret_bound_on_random_sequences(self):
         rng = np.random.default_rng(302)
@@ -337,3 +354,12 @@ class TestStochasticApproximation:
         small = np.mean([gap(128, 1000 + s) for s in range(200)])
         large = np.mean([gap(512, 2000 + s) for s in range(200)])
         assert large / small <= 2.5
+
+
+def test_import_does_not_load_ground_truth_module():
+    src = str(Path(multidist.online.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import multidist.online; "
+            "print('multidist.evaluate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
