@@ -6,6 +6,14 @@ separately because they share no learner, adversary or feedback step.
 Each run owns a seeded generator and a fresh :class:`SampleLedger`; the only
 access to the distributions is through the ledgered oracles, so the realized
 query totals in every report can be checked against the predicted budgets.
+
+The mid loop runs on plain weight arrays through the same private steps that
+the public wrappers (``mixture_sample``, ``oracle_sample``,
+``hedge_step_cost``, ``project_capped``, ``mid_adversary_estimate``)
+validate and call.  It checks every round what those wrappers would check:
+the estimate lies in [0, k], and both weight vectors are nonnegative, sum to
+1 and respect the adversary's cap.  The object-level loop it replaced is kept
+in ``tests/reference_mid.py``, and the tests require identical reports.
 """
 
 from __future__ import annotations
@@ -25,16 +33,20 @@ from multidist.cover import (
     projection_cover,
 )
 from multidist.model import (
+    SUM_TOL,
     Hypothesis,
     HypothesisClass,
     LabeledExample,
     MdlInstance,
     RandomizedHypothesis,
     SampleLedger,
+    _draw,
+    _label_loss,
+    _mixture_draw,
+    _prediction_at,
     brute_force_vc,
     derive_seed,
     make_rng,
-    mixture_sample,
     mixture_sample_many,
     oracle_sample,
     oracle_sample_many,
@@ -43,6 +55,9 @@ from multidist.model import (
 from multidist.online import (
     CostVector,
     SimplexWeights,
+    _check_eta,
+    _check_simplex,
+    _hedge_step,
     exp3_step,
     hedge_step_cost,
     hedge_step_payoff,
@@ -337,6 +352,15 @@ def run_cover_then_finite(instance: MdlInstance, epsilon: float, delta: float,
 # mid dynamics: Hedge over a sampled cover vs capped Hedge adversary
 
 
+def _estimate_value(loss: float, k: int, weight: float, estimator: str) -> float:
+    """The chosen coordinate of :func:`mid_adversary_estimate`, given the
+    learner's loss on the sample and the adversary's weight on `chosen`."""
+    value = k * (1.0 - loss)
+    if estimator == "literal":
+        value *= weight
+    return value
+
+
 def mid_adversary_estimate(weights: SimplexWeights | Sequence[float], chosen: int,
                            z: LabeledExample, h: Hypothesis | RandomizedHypothesis,
                            estimator: str = "unbiased") -> CostVector:
@@ -356,11 +380,8 @@ def mid_adversary_estimate(weights: SimplexWeights | Sequence[float], chosen: in
         raise ValueError(f"unknown estimator {estimator!r}")
     loss = (float(zero_one_loss(h, z)) if isinstance(h, Hypothesis)
             else h.expected_loss(z))
-    value = k * (1.0 - loss)
-    if estimator == "literal":
-        value *= float(w[chosen])
     costs = np.zeros(k)
-    costs[chosen] = value
+    costs[chosen] = _estimate_value(loss, k, float(w[chosen]), estimator)
     return CostVector(costs, bound=float(k))
 
 
@@ -412,25 +433,36 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     matrix = sub.matrix
     eta_learner = _clamp_rate(math.sqrt(math.log(max(len(sub), 2)) / sched["T"]))
 
-    learner = SimplexWeights.uniform(len(sub))
-    adversary = SimplexWeights.uniform(k, cap=sched["cap"])
+    # Plain arrays, with the public steps' RNG calls and arithmetic in their
+    # order (see the module docstring).  The rates and the cap are constant,
+    # so they are checked once, here; the estimate and the weights every round.
+    cap, eta_adversary = sched["cap"], sched["eta_adversary"]
+    _check_eta(eta_learner)
+    _check_eta(eta_adversary)
+    learner = SimplexWeights.uniform(len(sub)).w
+    adversary = SimplexWeights.uniform(k, cap=cap).w
     mean_weights = np.zeros(len(sub))
     trace: list[dict] = []
     for t in range(sched["T"]):
-        mean_weights += learner.w
-        z = mixture_sample(instance, adversary.w, rng, ledger)
-        learner_costs = (matrix[:, z.point] != z.label).astype(np.float64)
+        mean_weights += learner
+        x, y = _mixture_draw(instance, adversary / adversary.sum(), rng, ledger)
+        learner_costs = (matrix[:, x] != y).astype(np.float64)
         chosen = int(rng.integers(k))
-        z2 = oracle_sample(instance, chosen, rng, ledger)
-        iterate = RandomizedHypothesis.from_weights(sub.hypotheses, learner.w)
-        estimate = mid_adversary_estimate(adversary, chosen, z2, iterate, estimator)
+        x2, y2 = _draw(instance, chosen, rng, ledger)
+        loss = _label_loss(_prediction_at(learner, matrix[:, x2]), y2)
+        value = _estimate_value(loss, k, float(adversary[chosen]), estimator)
+        if not -SUM_TOL <= value <= k + SUM_TOL:
+            raise ValueError(f"adversary estimate {value!r} outside [0, {k}]")
         if record_trace:
-            trace.append({"t": t, "adversary": adversary.w.tolist(),
-                          "learner_id": int(np.argmax(learner.w)),
-                          "chosen": chosen,
-                          "estimate": float(estimate.values[chosen])})
-        learner = hedge_step_cost(learner, learner_costs, eta_learner)
-        adversary = hedge_step_cost(adversary, estimate, sched["eta_adversary"])
+            trace.append({"t": t, "adversary": adversary.tolist(),
+                          "learner_id": int(np.argmax(learner)),
+                          "chosen": chosen, "estimate": value})
+        estimate = np.zeros(k)
+        estimate[chosen] = value
+        learner = _hedge_step(learner, learner_costs, eta_learner, None)
+        adversary = _hedge_step(adversary, estimate, eta_adversary, cap)
+        _check_simplex(learner, None)
+        _check_simplex(adversary, cap)
     mean_weights /= sched["T"]
     config = {"epsilon": epsilon, "delta": delta, "constants": cons,
               "estimator": estimator, "vc_dim": d, "eta_learner": eta_learner,

@@ -364,9 +364,13 @@ def cmd_audit(args) -> int:
                     trace=False)
         tasks.append(task)
     rows = _run_cells(tasks, args.jobs)
-    errors = [r for r in rows if r["error"]]
+    errors = [r["error"] for r in rows if r["error"]]
     if errors:
-        raise RuntimeError(f"audit trial failed: {errors[0]['error']}")
+        # A trial stopped by a size guard exits as a guard violation, as the
+        # same cell does under `solve`; `_solve_task` prefixes the type name.
+        guarded = errors[0].startswith(f"{GuardError.__name__}:")
+        raise (GuardError if guarded else RuntimeError)(
+            f"audit trial failed: {errors[0]}")
     failures = sum(1 for r in rows if not r["eps_ok"])
     low, high = wilson_interval(failures, args.trials)
     samples = [r["samples_total"] for r in rows]

@@ -199,6 +199,25 @@ class HypothesisClass:
         raise ValueError(f"unknown family {family!r}")
 
 
+def _label_loss(p1: float, label: int) -> float:
+    """Expected 0-1 loss on a point of `label` when label 1 has probability p1."""
+    return 1.0 - p1 if label == 1 else p1
+
+
+def _prediction_at(weights: np.ndarray, column: np.ndarray) -> float:
+    """Probability of label 1 at one point under the mixture with these
+    weights over hypotheses whose labels there are `column`.
+
+    Bit-identical to ``RandomizedHypothesis.from_weights(hyps, weights)
+    .prediction_mean()[point]``: the positive weights are normalized by their
+    own sum, then added up in hypothesis order (a sequential sum, unlike the
+    pairwise one a dot product would take).
+    """
+    pos = weights > 0
+    w = weights[pos]
+    return float(np.add.accumulate((w / w.sum()) * column[pos])[-1])
+
+
 class RandomizedHypothesis:
     """Convex mixture of hypotheses; losses are exact expectations."""
 
@@ -240,8 +259,7 @@ class RandomizedHypothesis:
         pm = self.prediction_mean()
         if not 0 <= z.point < len(pm):
             raise DomainMismatchError(f"point {z.point} outside domain")
-        p1 = pm[z.point]
-        return float(1.0 - p1 if z.label == 1 else p1)
+        return _label_loss(float(pm[z.point]), z.label)
 
     def total_weight(self) -> float:
         return float(sum(w for _, w in self.atoms))
@@ -350,15 +368,27 @@ def exact_loss(dist: FiniteDistribution,
     return float(per_atom @ dist.probs)
 
 
+def _draw(instance: MdlInstance, i: int, rng: np.random.Generator,
+          ledger: SampleLedger) -> tuple[int, int]:
+    """One ledgered draw from distribution i, as (point, label); i unchecked."""
+    dist = instance.distributions[i]
+    idx = int(dist.draw_indices(1, rng)[0])
+    ledger.record(i, 1)
+    return int(dist.points[idx]), int(dist.labels[idx])
+
+
+def _mixture_draw(instance: MdlInstance, p: np.ndarray, rng: np.random.Generator,
+                  ledger: SampleLedger) -> tuple[int, int]:
+    """One ledgered draw from the mixture with normalized weights p."""
+    return _draw(instance, int(rng.choice(instance.k, p=p)), rng, ledger)
+
+
 def oracle_sample(instance: MdlInstance, i: int, rng: np.random.Generator,
                   ledger: SampleLedger) -> LabeledExample:
     """One ledgered draw from distribution i."""
     if not 0 <= i < instance.k:
         raise IndexError(f"oracle {i} out of range")
-    dist = instance.distributions[i]
-    idx = int(dist.draw_indices(1, rng)[0])
-    ledger.record(i, 1)
-    return LabeledExample(int(dist.points[idx]), int(dist.labels[idx]))
+    return LabeledExample(*_draw(instance, i, rng, ledger))
 
 
 def oracle_sample_many(instance: MdlInstance, i: int, count: int,
@@ -386,8 +416,7 @@ def mixture_sample(instance: MdlInstance, weights: Sequence[float],
                    rng: np.random.Generator, ledger: SampleLedger) -> LabeledExample:
     """One draw from the weighted mixture of oracles; one ledger increment."""
     w = _check_mixture(np.asarray(weights), instance.k)
-    i = int(rng.choice(instance.k, p=w))
-    return oracle_sample(instance, i, rng, ledger)
+    return LabeledExample(*_mixture_draw(instance, w, rng, ledger))
 
 
 def mixture_sample_many(instance: MdlInstance, weights: Sequence[float], count: int,

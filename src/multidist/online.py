@@ -20,6 +20,20 @@ import numpy as np
 from multidist.model import SUM_TOL
 
 
+def _check_simplex(w: np.ndarray, cap: float | None) -> None:
+    """Raise unless w is nonnegative, sums to 1 and stays at or below cap.
+
+    The sum test is written so that a NaN sum fails it.
+    """
+    if w.min() < 0:
+        raise ValueError("weights must be nonnegative")
+    total = float(w.sum())
+    if not abs(total - 1.0) <= SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1")
+    if cap is not None and float(w.max()) > cap + SUM_TOL:
+        raise ValueError("weight exceeds declared cap")
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexWeights:
     """Probability vector, optionally constrained to max weight <= cap."""
@@ -32,15 +46,10 @@ class SimplexWeights:
         object.__setattr__(self, "w", w)
         if w.ndim != 1 or len(w) < 1:
             raise ValueError("weights must be a nonempty vector")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
-        if self.cap is not None:
-            if self.cap <= 0 or self.cap * len(w) < 1.0 - SUM_TOL:
-                raise ValueError(f"infeasible cap {self.cap} in dimension {len(w)}")
-            if float(w.max()) > self.cap + SUM_TOL:
-                raise ValueError("weight exceeds declared cap")
+        if self.cap is not None and (self.cap <= 0
+                                     or self.cap * len(w) < 1.0 - SUM_TOL):
+            raise ValueError(f"infeasible cap {self.cap} in dimension {len(w)}")
+        _check_simplex(w, self.cap)
 
     def __len__(self) -> int:
         return len(self.w)
@@ -76,24 +85,10 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"learning rate must be positive and finite, got {eta}")
 
 
-def project_capped(raw: Sequence[float], cap: float) -> SimplexWeights:
-    """KL projection of a nonnegative vector onto {p : sum p = 1, p_i <= cap}.
-
-    Iteratively clamp the coordinates above the cap and spread the leftover
-    mass over the rest in proportion to their current weight (uniformly if
-    they are all zero).  Each round clamps at least one new coordinate, so
-    at most d rounds are needed.
-    """
-    v = np.asarray(raw, dtype=np.float64)
+def _project_capped(v: np.ndarray, cap: float) -> np.ndarray:
+    """The projection of :func:`project_capped`, without input checks."""
     d = len(v)
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise ValueError("input must be nonnegative and finite")
-    total = float(v.sum())
-    if total <= 0:
-        raise ValueError("input must not be all zero")
-    if cap <= 0 or cap * d < 1.0 - SUM_TOL:
-        raise ValueError(f"infeasible cap {cap} in dimension {d}")
-    w = v / total
+    w = v / v.sum()
     clamped = np.zeros(d, dtype=bool)
     for _ in range(d):
         over = (w > cap) & ~clamped
@@ -112,18 +107,46 @@ def project_capped(raw: Sequence[float], cap: float) -> SimplexWeights:
                 w[free] = (source / src_total) * residual
             else:
                 w[free] = residual / int(free.sum())
-    return SimplexWeights(w, cap=cap)
+    return w
+
+
+def project_capped(raw: Sequence[float], cap: float) -> SimplexWeights:
+    """KL projection of a nonnegative vector onto {p : sum p = 1, p_i <= cap}.
+
+    Iteratively clamp the coordinates above the cap and spread the leftover
+    mass over the rest in proportion to their current weight (uniformly if
+    they are all zero).  Each round clamps at least one new coordinate, so
+    at most d rounds are needed.
+    """
+    v = np.asarray(raw, dtype=np.float64)
+    d = len(v)
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise ValueError("input must be nonnegative and finite")
+    if float(v.sum()) <= 0:
+        raise ValueError("input must not be all zero")
+    if cap <= 0 or cap * d < 1.0 - SUM_TOL:
+        raise ValueError(f"infeasible cap {cap} in dimension {d}")
+    return SimplexWeights(_project_capped(v, cap), cap=cap)
+
+
+def _hedge_step(w: np.ndarray, costs: np.ndarray, eta: float,
+                cap: float | None) -> np.ndarray:
+    """The update of :func:`hedge_step_cost` on plain arrays, unchecked."""
+    scaled = w * np.exp(-eta * costs)
+    if cap is None:
+        return scaled / scaled.sum()
+    return _project_capped(scaled, cap)
 
 
 def hedge_step_cost(w: SimplexWeights, costs: CostVector | Sequence[float],
                     eta: float) -> SimplexWeights:
-    """Multiplicative-weights step penalizing per-coordinate costs."""
+    """Multiplicative-weights step penalizing per-coordinate costs.
+
+    A capped step is the plain update followed by :func:`project_capped`.
+    """
     _check_eta(eta)
     c = _cost_values(costs, len(w))
-    scaled = w.w * np.exp(-eta * c)
-    if w.cap is None:
-        return SimplexWeights(scaled / scaled.sum())
-    return project_capped(scaled, w.cap)
+    return SimplexWeights(_hedge_step(w.w, c, eta, w.cap), cap=w.cap)
 
 
 def hedge_step_payoff(w: SimplexWeights, payoffs: CostVector | Sequence[float],

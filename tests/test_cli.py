@@ -259,6 +259,14 @@ class TestAudit:
                        "--trials", "0", "--out", str(tmp_path / "a.json"))
         assert code == 2
 
+    def test_guarded_trial_exits_as_guard_violation(self, tmp_path, capsys):
+        # n = 24 is past the VC guard, so every mid trial stops there
+        code = run_cli("audit", "--algo", "mid", "--family", "random", "--n", "24",
+                       "--class-size", "8", "--trials", "2",
+                       "--out", str(tmp_path / "a.json"))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("guard violation: ")
+
 
 class TestWilson:
     def test_interval_basics(self):

@@ -37,6 +37,10 @@ class TestSimplexWeights:
         with pytest.raises(ValueError):
             SimplexWeights(np.array([0.5, 0.5]), cap=0.3)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            SimplexWeights(np.array([np.nan, 1.0]))
+
 
 class TestHedgeCost:
     def test_zero_costs_identity(self):
