@@ -7,13 +7,20 @@ Each run owns a seeded generator and a fresh :class:`SampleLedger`; the only
 access to the distributions is through the ledgered oracles, so the realized
 query totals in every report can be checked against the predicted budgets.
 
-The mid loop runs on plain weight arrays through the same private steps that
-the public wrappers (``mixture_sample``, ``oracle_sample``,
-``hedge_step_cost``, ``project_capped``, ``mid_adversary_estimate``)
-validate and call.  It checks every round what those wrappers would check:
-the estimate lies in [0, k], and both weight vectors are nonnegative, sum to
-1 and respect the adversary's cap.  The object-level loop it replaced is kept
-in ``tests/reference_mid.py``, and the tests require identical reports.
+The mid and finite loops run on plain weight arrays through the same private
+steps that the public wrappers (``mixture_sample``, ``oracle_sample``,
+``hedge_step_cost``, ``project_capped``, ``exp3_step``,
+``mid_adversary_estimate``) validate and call; both draw the adversary's
+oracle with ``model._mixture_index``.  Each loop checks every round what
+those wrappers would check: the mid estimate lies in [0, k], the finite
+loop's observed cost lies in [0, 1], and both weight vectors are
+nonnegative, sum to 1 and respect the adversary's cap.  Learning rates are
+constant, so they are checked once, before the loop.  The finite loop
+computes the 0/1 cost row and the Hedge factor row of each drawn (point,
+label) once per run.  The fast loop keeps its public steps, since its cost
+is the ERM scan.  The object-level loops these replaced are kept in
+``tests/reference_mid.py`` and ``tests/reference_finite.py``, and the tests
+require identical reports.
 """
 
 from __future__ import annotations
@@ -43,12 +50,12 @@ from multidist.model import (
     _draw,
     _label_loss,
     _mixture_draw,
+    _mixture_index,
     _prediction_at,
     brute_force_vc,
     derive_seed,
     make_rng,
     mixture_sample_many,
-    oracle_sample,
     oracle_sample_many,
     zero_one_loss,
 )
@@ -56,10 +63,10 @@ from multidist.online import (
     CostVector,
     SimplexWeights,
     _check_eta,
+    _check_exp3_rates,
     _check_simplex,
+    _exp3_step,
     _hedge_step,
-    exp3_step,
-    hedge_step_cost,
     hedge_step_payoff,
 )
 
@@ -265,27 +272,41 @@ def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
                  trace: list[dict]) -> tuple[RandomizedHypothesis, dict]:
     k = instance.k
     class_size = len(hclass)
-    matrix = hclass.matrix
     T, eta_learner, eta_exp3, exploration = _finite_schedule(
         class_size, k, epsilon, delta, C)
-    learner = SimplexWeights.uniform(class_size)
-    adversary = SimplexWeights.uniform(k)
+    # Plain arrays, as in the mid loop (see the module docstring).  The costs
+    # of a drawn (point, label) and their Hedge factors are the same every
+    # time it is drawn, so each is computed once.  Only drawn atoms get rows,
+    # which bounds the memory by the support, not by the domain.
+    rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    _check_eta(eta_learner)
+    _check_exp3_rates(eta_exp3, exploration)
+    learner = SimplexWeights.uniform(class_size).w
+    adversary = SimplexWeights.uniform(k).w
     mean_weights = np.zeros(class_size)
     for t in range(T):
-        mean_weights += learner.w
-        chosen = int(rng.choice(k, p=adversary.w))
-        z = oracle_sample(instance, chosen, rng, ledger)
-        costs = (matrix[:, z.point] != z.label).astype(np.float64)
+        mean_weights += learner
+        chosen = _mixture_index(adversary, rng)
+        atom = _draw(instance, chosen, rng, ledger)
+        if atom not in rows:
+            costs = (hclass.matrix[:, atom[0]] != atom[1]).astype(np.float64)
+            rows[atom] = costs, np.exp(-eta_learner * costs)
+        costs, factors = rows[atom]
         # Rounding can put the mixture's loss an ulp above 1, which would
         # hand Exp3 a negative cost.
-        observed_loss = min(1.0, float(learner.w @ costs))
+        observed_loss = min(1.0, float(learner @ costs))
+        if not 0.0 <= 1.0 - observed_loss <= 1.0:
+            raise ValueError("observed cost must be in [0, 1]")
         if record_trace:
-            trace.append({"t": t, "adversary": adversary.w.tolist(),
-                          "learner_id": int(np.argmax(learner.w)),
+            trace.append({"t": t, "adversary": adversary.tolist(),
+                          "learner_id": int(np.argmax(learner)),
                           "chosen": chosen, "observed_loss": observed_loss})
-        learner = hedge_step_cost(learner, costs, eta_learner)
-        adversary = exp3_step(adversary, chosen, 1.0 - observed_loss,
-                              eta_exp3, exploration)
+        scaled = learner * factors
+        learner = scaled / scaled.sum()
+        adversary = _exp3_step(adversary, chosen, 1.0 - observed_loss,
+                               eta_exp3, exploration)
+        _check_simplex(learner, None)
+        _check_simplex(adversary, None)
     mean_weights /= T
     meta = {"T": T, "eta_learner": eta_learner, "eta_exp3": eta_exp3,
             "exploration": exploration, "class_size": class_size}
@@ -380,9 +401,8 @@ def mid_adversary_estimate(weights: SimplexWeights | Sequence[float], chosen: in
         raise ValueError(f"unknown estimator {estimator!r}")
     loss = (float(zero_one_loss(h, z)) if isinstance(h, Hypothesis)
             else h.expected_loss(z))
-    costs = np.zeros(k)
-    costs[chosen] = _estimate_value(loss, k, float(w[chosen]), estimator)
-    return CostVector(costs, bound=float(k))
+    value = _estimate_value(loss, k, float(w[chosen]), estimator)
+    return CostVector.one_hot(k, chosen, value, bound=float(k))
 
 
 def _mid_schedule(epsilon: float, delta: float, k: int, d: int,

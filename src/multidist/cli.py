@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -28,8 +29,9 @@ from multidist.algos import (
 from multidist.evaluate import (
     GENERATOR_FAMILIES,
     InstanceSpec,
+    OptResult,
     brute_force_opt,
-    generate,
+    generate_with_opt,
 )
 from multidist.model import (
     CLASS_FAMILIES,
@@ -91,10 +93,11 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 # shared plumbing
 
 
-def _instance_from_task(task: dict) -> MdlInstance:
+def _instance_from_task(task: dict) -> tuple[MdlInstance, OptResult | None]:
+    """The cell's instance, and its exact optimum if generating it computed one."""
     if task.get("instance_path"):
-        return MdlInstance.load(task["instance_path"])
-    return generate(InstanceSpec(
+        return MdlInstance.load(task["instance_path"]), None
+    return generate_with_opt(InstanceSpec(
         family=task["family"], n=task["n"], k=task["k"],
         class_size=task["class_size"], seed=task["instance_seed"],
         class_family=task["class_family"]))
@@ -142,8 +145,10 @@ def _run_algorithm(algo: str, instance: MdlInstance, task: dict,
 
 
 def _evaluate_run(instance: MdlInstance, report: RunReport, epsilon: float,
-                  alpha: float) -> dict:
-    opt = brute_force_opt(instance)
+                  alpha: float, opt: OptResult | None = None) -> dict:
+    """Exact losses of the run's output against OPT (computed if not given)."""
+    if opt is None:
+        opt = brute_force_opt(instance)
     cap = min(1.0, 2.0 / instance.k)
     if report.assignments is not None:
         losses = [exact_loss(instance.distributions[i], h)
@@ -184,16 +189,17 @@ def _new_row(task: dict) -> dict:
 def _run_cell(task: dict, row: dict | None) -> tuple[RunReport, dict]:
     """Generate, run and evaluate one cell, filling `row` (if given) as it goes.
 
-    The VC dimension is computed once, for the row, and handed to the run.
+    The VC dimension is computed once, for the row, and handed to the run;
+    the exact optimum generation computed is handed to the evaluation.
     """
-    instance = _instance_from_task(task)
+    instance, opt = _instance_from_task(task)
     vc_dim = None
     if row is not None:
         vc_dim = _vc_or_none(instance)
         row.update(n=instance.domain_size, k=instance.k,
                    class_size=len(instance.hypothesis_class), vc_dim=vc_dim)
     report = _run_algorithm(task["algo"], instance, task, vc_dim)
-    ev = _evaluate_run(instance, report, task["epsilon"], task["alpha"])
+    ev = _evaluate_run(instance, report, task["epsilon"], task["alpha"], opt)
     if row is not None:
         row.update(
             samples_total=report.ledger_total,
@@ -220,8 +226,10 @@ def _solve_task(task: dict) -> dict:
 def _run_cells(tasks: list[dict], jobs: int) -> list[dict]:
     if jobs < 1:
         raise ValueError("--jobs must be ≥ 1")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # more workers than cores or cells would only add idle processes
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_solve_task, tasks))
     return [_solve_task(t) for t in tasks]
 
@@ -293,12 +301,14 @@ def cmd_gen(args) -> int:
     spec = InstanceSpec(family=args.family, n=args.n, k=args.k,
                         class_size=args.class_size, seed=args.seed,
                         class_family=args.class_family)
-    instance = generate(spec)
+    instance, opt = generate_with_opt(spec)
     instance.save(args.out)
     print(f"wrote {args.out}: n={instance.domain_size} k={instance.k} "
           f"|class|={len(instance.hypothesis_class)}")
     try:
-        print(f"OPT={brute_force_opt(instance).opt_value!r}")
+        if opt is None:
+            opt = brute_force_opt(instance)
+        print(f"OPT={opt.opt_value!r}")
         print(f"VC={brute_force_vc(instance.hypothesis_class, instance.domain_size)}")
     except GuardError:
         print("OPT/VC skipped (size guard)")

@@ -2,6 +2,9 @@
 
 Nothing here samples: callers draw through the ledgered oracles in
 :mod:`multidist.model` and pass the draws in as a :class:`SampleBatch`.
+ERM counts each hypothesis's mistakes from the batch's (point, label)
+histogram, so its cost grows with the domain, not with the batch; the
+boolean-table version it replaced is kept in ``tests/reference_finite.py``.
 """
 
 from __future__ import annotations
@@ -48,13 +51,26 @@ def empirical_loss(h: Hypothesis | RandomizedHypothesis, batch: SampleBatch) -> 
 
 
 def erm(hclass: HypothesisClass, batch: SampleBatch) -> Hypothesis:
-    """Exhaustive empirical minimizer; ties broken by lowest id."""
+    """Exhaustive empirical minimizer; ties broken by lowest id.
+
+    Mistakes are counted from the batch's (point, label) histogram c: a
+    hypothesis errs on the c[x, 1] ones at points it labels 0 and on the
+    c[x, 0] zeros at points it labels 1.  The counts are integers and the
+    empirical loss is count / m, so the argmin is the same.
+    """
     if len(batch) == 0:
         raise ValueError("empty batch")
     if len(hclass) == 0:
         raise ValueError("empty class")
-    errors = (hclass.matrix[:, batch.points] != batch.labels).mean(axis=1)
-    return hclass.hypotheses[int(np.argmin(errors))]
+    n = hclass.domain_size
+    points, labels = np.asarray(batch.points), np.asarray(batch.labels)
+    if points.min() < 0 or points.max() >= n:
+        raise IndexError("batch point outside the class domain")
+    if labels.min() < 0 or labels.max() > 1:
+        raise ValueError("batch labels must be in {0, 1}")
+    c = np.bincount(points * 2 + labels, minlength=2 * n).reshape(n, 2)
+    mistakes = hclass.matrix @ (c[:, 0] - c[:, 1]) + c[:, 1].sum()
+    return hclass.hypotheses[int(np.argmin(mistakes))]
 
 
 def projection_cover(hclass: HypothesisClass, points: Sequence[int]) -> CoverResult:

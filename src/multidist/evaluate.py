@@ -217,23 +217,38 @@ def _build(spec: InstanceSpec, rng: np.random.Generator) -> tuple[MdlInstance, i
     return MdlInstance(n, dists, hclass), planted
 
 
-def _post_check(spec: InstanceSpec, instance: MdlInstance, planted: int | None) -> bool:
+def _post_check(spec: InstanceSpec, instance: MdlInstance,
+                planted: int | None) -> tuple[bool, OptResult | None]:
+    """Whether the instance has its family's defining property, and the
+    exact optimum computed to check it (None for `random`, which has no
+    property to check)."""
     if spec.family == "random":
-        return True
+        return True, None
+    opt = brute_force_opt(instance)
     if spec.family == "realizable":
-        return brute_force_opt(instance).opt_value <= 1e-12
+        return opt.opt_value <= 1e-12, opt
     if spec.family == "opposed_labels":
-        return brute_force_opt(instance).opt_value >= 0.5 - 1e-9
-    matrix = loss_matrix(instance)
+        return opt.opt_value >= 0.5 - 1e-9, opt
+    matrix = opt.loss_matrix
     per_dist_min = matrix.min(axis=1)
-    return bool(np.all(matrix[:, planted] <= per_dist_min + 1e-12))
+    return bool(np.all(matrix[:, planted] <= per_dist_min + 1e-12)), opt
+
+
+def generate_with_opt(spec: InstanceSpec) -> tuple[MdlInstance, OptResult | None]:
+    """:func:`generate`, plus the exact optimum its property check computed.
+
+    The optimum is None for the `random` family; callers that need it there
+    compute it with :func:`brute_force_opt`.
+    """
+    rng = make_rng(spec.seed)
+    for _ in range(100):
+        instance, planted = _build(spec, rng)
+        ok, opt = _post_check(spec, instance, planted)
+        if ok:
+            return instance, opt
+    raise GuardError(f"could not generate a {spec.family} instance in 100 attempts")
 
 
 def generate(spec: InstanceSpec) -> MdlInstance:
     """Generate an instance satisfying the family's defining property."""
-    rng = make_rng(spec.seed)
-    for _ in range(100):
-        instance, planted = _build(spec, rng)
-        if _post_check(spec, instance, planted):
-            return instance
-    raise GuardError(f"could not generate a {spec.family} instance in 100 attempts")
+    return generate_with_opt(spec)[0]

@@ -5,6 +5,13 @@ labels, distributions given as explicit probability mass over (point, label)
 atoms, and hypothesis classes expanded to explicit label vectors.  Sampling
 always goes through an oracle function that charges a :class:`SampleLedger`,
 so realized query budgets can be compared against predicted ones exactly.
+
+The private draws (``_draw``, ``_mixture_index``, ``_mixture_draw``) are
+what the dynamics loops call every round; the public oracles validate their
+arguments and then call them.  ``_mixture_index`` repeats the arithmetic of
+``rng.choice(k, p=p)``, so a loop that uses it draws the same oracles from
+the same generator state.  The VC search tests shattering by counting the
+distinct label codes with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -377,10 +384,22 @@ def _draw(instance: MdlInstance, i: int, rng: np.random.Generator,
     return int(dist.points[idx]), int(dist.labels[idx])
 
 
+def _mixture_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probabilities p (nonnegative, normalized, unchecked).
+
+    This is the arithmetic of ``rng.choice(len(p), p=p)``, so it returns the
+    same index and leaves the generator in the same state, without the
+    validation ``choice`` repeats on every call.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _mixture_draw(instance: MdlInstance, p: np.ndarray, rng: np.random.Generator,
                   ledger: SampleLedger) -> tuple[int, int]:
     """One ledgered draw from the mixture with normalized weights p."""
-    return _draw(instance, int(rng.choice(instance.k, p=p)), rng, ledger)
+    return _draw(instance, _mixture_index(p, rng), rng, ledger)
 
 
 def oracle_sample(instance: MdlInstance, i: int, rng: np.random.Generator,
@@ -455,8 +474,9 @@ def brute_force_vc(hclass: HypothesisClass, n: int) -> int:
         weights = 1 << np.arange(m, dtype=np.int64)
         shattered = False
         for subset in combinations(range(n), m):
+            # the subset is shattered iff all 2^m label codes occur
             codes = matrix[:, subset] @ weights
-            if len(np.unique(codes)) == (1 << m):
+            if np.count_nonzero(np.bincount(codes, minlength=1 << m)) == (1 << m):
                 shattered = True
                 break
         if not shattered:

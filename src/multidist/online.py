@@ -69,8 +69,23 @@ class CostVector:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", v)
-        if np.any(v < -SUM_TOL) or np.any(v > self.bound + SUM_TOL):
+        # written so that a NaN entry fails it
+        if v.size and not (v.min() >= -SUM_TOL and v.max() <= self.bound + SUM_TOL):
             raise ValueError(f"cost entries outside [0, {self.bound}]")
+
+    @classmethod
+    def one_hot(cls, d: int, index: int, value: float, bound: float) -> "CostVector":
+        """Zero costs except `value` at `index`.  Only that one value can
+        leave [0, bound], so it is checked as a scalar (NaN fails) and the
+        vector check is skipped."""
+        if not -SUM_TOL <= value <= bound + SUM_TOL:
+            raise ValueError(f"cost entries outside [0, {bound}]")
+        values = np.zeros(d)
+        values[index] = value
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "bound", bound)
+        return out
 
 
 def _cost_values(costs: CostVector | Sequence[float], d: int) -> np.ndarray:
@@ -155,29 +170,38 @@ def hedge_step_payoff(w: SimplexWeights, payoffs: CostVector | Sequence[float],
     return hedge_step_cost(w, -_cost_values(payoffs, len(w)), eta)
 
 
+def _check_exp3_rates(eta: float, exploration: float) -> None:
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    if not 0.0 <= exploration <= 1.0:
+        raise ValueError("exploration must be in [0, 1]")
+
+
+def _exp3_step(w: np.ndarray, chosen: int, observed_cost: float, eta: float,
+               exploration: float) -> np.ndarray:
+    """The update of :func:`exp3_step` on plain arrays; only the played
+    arm's probability is checked, because the estimate divides by it."""
+    prob = float(w[chosen])
+    if prob <= 0.0:
+        raise ValueError("chosen arm has zero sampling probability")
+    estimate = observed_cost / prob
+    scaled = w.copy()
+    scaled[chosen] *= float(np.exp(-eta * estimate))
+    p = scaled / scaled.sum()
+    return (1.0 - exploration) * p + exploration / len(w)
+
+
 def exp3_step(w: SimplexWeights, chosen: int, observed_cost: float, eta: float,
               exploration: float) -> SimplexWeights:
     """Bandit update: importance-weighted cost on the played coordinate only,
     exponential reweighting, then mixing with uniform at the exploration rate.
     """
-    d = len(w)
-    if not 0 <= chosen < d:
+    if not 0 <= chosen < len(w):
         raise IndexError(f"chosen arm {chosen} out of range")
     if not 0.0 <= observed_cost <= 1.0:
         raise ValueError("observed cost must be in [0, 1]")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if not 0.0 <= exploration <= 1.0:
-        raise ValueError("exploration must be in [0, 1]")
-    prob = float(w.w[chosen])
-    if prob <= 0.0:
-        raise ValueError("chosen arm has zero sampling probability")
-    estimate = observed_cost / prob
-    scaled = w.w.copy()
-    scaled[chosen] *= float(np.exp(-eta * estimate))
-    p = scaled / scaled.sum()
-    p = (1.0 - exploration) * p + exploration / d
-    return SimplexWeights(p)
+    _check_exp3_rates(eta, exploration)
+    return SimplexWeights(_exp3_step(w.w, chosen, observed_cost, eta, exploration))
 
 
 def smooth_argmax(losses: Sequence[float], cap: float) -> tuple[float, np.ndarray]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from multidist import algos, cli
+from multidist import algos, cli, evaluate
 from multidist.algos import RunReport
 from multidist.evaluate import InstanceSpec, brute_force_opt, generate
 from multidist.model import (
@@ -41,6 +41,16 @@ class TestGen:
             run_cli("gen", "--family", "random", "--k", "3", "--n", "6",
                     "--seed", "11", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_loss_matrix_per_cell(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(evaluate, "loss_matrix", _counted(evaluate.loss_matrix, calls))
+        out = tmp_path / "inst.json"
+        assert run_cli("gen", "--family", "realizable", "--n", "12", "--k", "64",
+                       "--class-size", "1024", "--seed", "3", "--out", str(out)) == 0
+        assert len(calls) == 1
+        printed = capsys.readouterr().out
+        assert f"OPT={brute_force_opt(MdlInstance.load(str(out))).opt_value!r}" in printed
 
     def test_invalid_k_message_and_exit(self, tmp_path, capsys):
         code = run_cli("gen", "--family", "random", "--k", "0",
@@ -147,6 +157,44 @@ class TestSweep:
         assert run_cli("sweep", "--algo", "fast", "--family", "random", "--n", "6",
                        "--k", "3", "--seeds", "1", "--out", str(tmp_path / "s.csv")) == 0
         assert len(calls) == 1
+
+    def test_one_loss_matrix_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluate, "loss_matrix", _counted(evaluate.loss_matrix, calls))
+        assert run_cli("sweep", "--algo", "fast", "--family", "realizable", "--n", "12",
+                       "--k", "4", "--class-size", "1024", "--seeds", "1",
+                       "--out", str(tmp_path / "s.csv")) == 0
+        assert len(calls) == 1
+
+    def test_jobs_clamped_to_cores_and_cells(self, tmp_path, monkeypatch):
+        # a recording stand-in for the pool: it runs the cells in-process
+        # and starts no worker
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        args = ("sweep", "--algo", "fast", "--family", "random", "--n", "6",
+                "--k", "3", "--seeds", "1,2,3", "--jobs", "4096")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert run_cli(*args, "--out", str(tmp_path / "a.csv")) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert run_cli(*args, "--out", str(tmp_path / "b.csv")) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert run_cli(*args, "--out", str(tmp_path / "c.csv")) == 0
+        assert asked == [3, 2]  # one core: the cells run without a pool
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
     def test_finite_cells_survive_rounding_of_mixture_loss(self, tmp_path):
         # On these seeds the learner mixture's loss rounds an ulp above 1;

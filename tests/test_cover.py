@@ -106,6 +106,17 @@ class TestErm:
         with pytest.raises(ValueError):
             erm(cls, _batch([]))
 
+    def test_point_outside_domain_rejected(self):
+        cls = HypothesisClass([[0, 1], [1, 1]])
+        for point in (2, -1):
+            with pytest.raises(IndexError):
+                erm(cls, _batch([(0, 1), (point, 0)]))
+
+    def test_non_binary_label_rejected(self):
+        cls = HypothesisClass([[0, 1], [1, 1]])
+        with pytest.raises(ValueError):
+            erm(cls, _batch([(0, 1), (1, 2)]))
+
 
 class TestProjectionCover:
     def test_full_domain_recovers_class(self):

@@ -337,6 +337,20 @@ class TestCostVector:
         cv = CostVector(np.array([0.0, 3.0]), bound=4.0)
         assert cv.bound == 4.0
 
+    def test_rejects_nan(self):
+        for values in ([np.nan, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                CostVector(np.array(values))
+        with pytest.raises(ValueError):
+            CostVector.one_hot(3, 1, float("nan"), bound=3.0)
+
+    def test_one_hot_checks_its_value(self):
+        cv = CostVector.one_hot(3, 1, 2.5, bound=3.0)
+        assert cv.values.tolist() == [0.0, 2.5, 0.0] and cv.bound == 3.0
+        for value in (-0.1, 3.1):
+            with pytest.raises(ValueError):
+                CostVector.one_hot(3, 1, value, bound=3.0)
+
 
 class TestStochasticApproximation:
     def test_gap_grows_like_sqrt_t(self):
