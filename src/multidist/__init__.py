@@ -26,7 +26,7 @@ _EXPORTS = {
     "online": (
         "CostVector", "RegretLedger", "SimplexWeights", "exp3_step",
         "hedge_step_cost", "hedge_step_payoff", "payoff_regret_of",
-        "project_capped", "regret_of", "smooth_argmax",
+        "project_capped", "regret_of", "smooth_argmax", "smooth_cap",
     ),
     "cover": (
         "CoverResult", "SampleBatch", "cover_sample_size", "empirical_loss", "erm",

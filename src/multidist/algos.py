@@ -68,6 +68,7 @@ from multidist.online import (
     _exp3_step,
     _hedge_step,
     hedge_step_payoff,
+    smooth_cap,
 )
 
 DEFAULT_CONSTANTS = {"C": 4.0, "C1": 4.0, "C2": 4.0, "Cprime": 4.0, "Ceval": 4.0}
@@ -415,7 +416,7 @@ def _mid_schedule(epsilon: float, delta: float, k: int, d: int,
         term2 = 0
     T = max(1, term1, term2)
     N = cover_sample_size(max(d, 1), epsilon, delta, cons["C"])
-    cap = min(1.0, 2.0 / k)
+    cap = smooth_cap(k)
     # The single-sample estimate scales with k; folding that scale into the
     # adversary's rate keeps the effective exponent in the [0, 2] range the
     # capped analysis expects.

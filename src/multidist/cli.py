@@ -42,7 +42,7 @@ from multidist.model import (
     derive_seed,
     exact_loss,
 )
-from multidist.online import smooth_argmax
+from multidist.online import smooth_argmax, smooth_cap
 
 ALGORITHMS = ("fast", "finite", "cover_finite", "mid", "personalized", "argmin_stub")
 
@@ -149,14 +149,13 @@ def _evaluate_run(instance: MdlInstance, report: RunReport, epsilon: float,
     """Exact losses of the run's output against OPT (computed if not given)."""
     if opt is None:
         opt = brute_force_opt(instance)
-    cap = min(1.0, 2.0 / instance.k)
     if report.assignments is not None:
         losses = [exact_loss(instance.distributions[i], h)
                   for i, h in sorted(report.assignments.items())]
         smooth = None
     else:
         losses = [exact_loss(d, report.hypothesis) for d in instance.distributions]
-        smooth = smooth_argmax(losses, cap)[0]
+        smooth = smooth_argmax(losses, smooth_cap(instance.k))[0]
     value = max(losses)
     worst = losses.index(value)
     bound = epsilon + (1.0 + alpha) * opt.opt_value

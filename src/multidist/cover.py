@@ -5,6 +5,8 @@ Nothing here samples: callers draw through the ledgered oracles in
 ERM counts each hypothesis's mistakes from the batch's (point, label)
 histogram, so its cost grows with the domain, not with the batch; the
 boolean-table version it replaced is kept in ``tests/reference_finite.py``.
+The projection cover is the class's row dedupe applied to the columns at
+the witness points.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from multidist.model import Hypothesis, HypothesisClass, RandomizedHypothesis
+from multidist.model import (Hypothesis, HypothesisClass, RandomizedHypothesis,
+                             first_distinct_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +84,10 @@ def projection_cover(hclass: HypothesisClass, points: Sequence[int]) -> CoverRes
         raise ValueError("cover needs at least one witness point")
     if max(pts) >= hclass.domain_size or min(pts) < 0:
         raise ValueError("witness point outside the class domain")
-    projected = hclass.matrix[:, pts]
-    seen: dict[bytes, int] = {}
-    reps: list[int] = []
-    for i in range(len(hclass)):
-        key = projected[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-            reps.append(i)
-    subclass = HypothesisClass([hclass.matrix[i] for i in reps], "explicit")
+    reps = first_distinct_rows(hclass.matrix[:, pts])
+    subclass = HypothesisClass(hclass.matrix[reps], "explicit")
     return CoverResult(subclass=subclass, witness_points=pts,
-                       behavior_count=len(reps), representative_ids=reps)
+                       behavior_count=len(reps), representative_ids=reps.tolist())
 
 
 def cover_sample_size(d: int, epsilon: float, delta: float, C: float = 4.0) -> int:

@@ -5,7 +5,8 @@ This is the only module allowed to read distribution masses directly.
 Algorithms are audited against the quantities computed here; neither they
 nor the no-regret primitives in :mod:`multidist.online` import this module.
 The exact 2-smooth maximum, ``smooth_argmax``, lives in ``online`` and is
-re-exported here.
+re-exported here; the majority-subset check compares it with one order
+statistic of the losses, so it needs no guard on k.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from multidist.model import (
     exact_loss,
     make_rng,
 )
-from multidist.online import smooth_argmax
+from multidist.online import smooth_argmax, smooth_cap
 
 OPT_CELL_GUARD = 10_000_000
-MINORITY_MAX_K = 12
 
 
 @dataclass(frozen=True)
@@ -78,23 +78,14 @@ def minority_bound_check(instance: MdlInstance,
                          h: Hypothesis | RandomizedHypothesis) -> bool:
     """Does some majority subset's worst loss stay under the 2-smooth max?
 
-    Exhaustive over all subsets containing at least half the distributions;
-    a False on any input is a build-breaking bug, not data.
+    Exact over all subsets containing at least half the distributions: the
+    smallest worst loss among them is the ceil(k/2)-th smallest loss.  A
+    False on any input is a build-breaking bug, not data.
     """
     k = instance.k
-    if k > MINORITY_MAX_K:
-        raise GuardError(f"minority check guard: k <= {MINORITY_MAX_K}")
     losses = _per_distribution_losses(instance, h)
-    cap = min(1.0, 2.0 / k)
-    smooth_value, _ = smooth_argmax(losses, cap)
-    for mask in range(1, 1 << k):
-        size = mask.bit_count()
-        if 2 * size < k:
-            continue
-        subset_max = max(losses[i] for i in range(k) if mask >> i & 1)
-        if subset_max <= smooth_value + 1e-12:
-            return True
-    return False
+    smooth_value, _ = smooth_argmax(losses, smooth_cap(k))
+    return bool(np.sort(losses)[(k + 1) // 2 - 1] <= smooth_value + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -128,30 +119,32 @@ class InstanceSpec:
 
 
 def _random_class(spec: InstanceSpec, rng: np.random.Generator) -> HypothesisClass:
+    """The first `class_size` distinct uniform label vectors (at most 2^n),
+    drawn in batches no larger than the number still missing, so the
+    generator ends exactly where one draw per vector would leave it."""
     if spec.class_family != "explicit":
         return HypothesisClass.from_family(spec.class_family, spec.n)
     want = min(spec.class_size, 2 ** spec.n)
-    vectors: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    rows: list[np.ndarray] = []
+    seen: set[bytes] = set()
     attempts = 0
-    while len(vectors) < want and attempts < 200 * want:
-        vec = tuple(int(b) for b in rng.integers(0, 2, size=spec.n))
-        attempts += 1
-        if vec not in seen:
-            seen.add(vec)
-            vectors.append(vec)
-    return HypothesisClass(vectors)
+    while len(rows) < want and attempts < 200 * want:
+        take = min(want - len(rows), 200 * want - attempts)
+        attempts += take
+        for row in rng.integers(0, 2, size=(take, spec.n)).astype(np.uint8):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                rows.append(row)
+    return HypothesisClass(np.array(rows))
 
 
 def _with_member(hclass: HypothesisClass, member: np.ndarray) -> tuple[HypothesisClass, int]:
     """Class guaranteed to contain `member`; returns (class, member id)."""
-    key = tuple(int(v) for v in member)
-    for h in hclass:
-        if tuple(int(v) for v in h.labels) == key:
-            return hclass, h.id
-    vectors = [key] + [tuple(int(v) for v in h.labels) for h in hclass]
-    rebuilt = HypothesisClass(vectors, "explicit")
-    return rebuilt, 0
+    hits = np.flatnonzero((hclass.matrix == member).all(axis=1))
+    if len(hits):
+        return hclass, int(hits[0])
+    return HypothesisClass(np.vstack([member, hclass.matrix]), "explicit"), 0
 
 
 def _support_points(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Everything downstream assumes a finite domain ``{0, ..., n-1}`` with binary
 labels, distributions given as explicit probability mass over (point, label)
-atoms, and hypothesis classes expanded to explicit label vectors.  Sampling
-always goes through an oracle function that charges a :class:`SampleLedger`,
-so realized query budgets can be compared against predicted ones exactly.
+atoms, and hypothesis classes as explicit label matrices.  Sampling always
+goes through an oracle function that charges a :class:`SampleLedger`, so
+realized query budgets can be compared against predicted ones exactly.
+Every class is built from one 0/1 matrix; ``first_distinct_rows`` is the
+one row dedupe, for classes and for ``cover.projection_cover`` alike.
 
 The private draws (``_draw``, ``_mixture_index``, ``_mixture_draw``) are
 what the dynamics loops call every round; the public oracles validate their
@@ -128,11 +130,19 @@ class Hypothesis:
         return int(self.labels[point])
 
 
-class HypothesisClass:
-    """Explicit, deduplicated list of hypotheses over a fixed domain.
+def first_distinct_rows(matrix: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row, in row order."""
+    _, first = np.unique(matrix, axis=0, return_index=True)
+    return np.sort(first)
 
-    Structured families expand eagerly so that ERM scans, coverings, and the
-    brute-force optimum all enumerate the same explicit list.
+
+class HypothesisClass:
+    """Explicit, deduplicated label matrix over a fixed domain.
+
+    Every class, structured families included, is built from one label
+    matrix whose repeated rows are dropped (first occurrence kept), so ERM
+    scans, coverings, and the brute-force optimum all enumerate the same
+    explicit rows.
     """
 
     __slots__ = ("hypotheses", "family_tag", "matrix")
@@ -140,22 +150,20 @@ class HypothesisClass:
     def __init__(self, label_vectors: Iterable[Sequence[int]], family_tag: str = "explicit"):
         if family_tag not in CLASS_FAMILIES:
             raise ValueError(f"unknown family {family_tag!r}")
-        rows: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for vec in label_vectors:
-            key = tuple(int(v) for v in vec)
-            if any(v not in (0, 1) for v in key):
-                raise ValueError("hypothesis labels must be in {0, 1}")
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(key)
-        if not rows:
+        rows = label_vectors if isinstance(label_vectors, np.ndarray) else list(label_vectors)
+        if len(rows) == 0:
             raise ValueError("hypothesis class must be nonempty")
-        if len({len(r) for r in rows}) != 1:
+        try:
+            labels = np.asarray(rows)
+        except ValueError:  # ragged rows
+            labels = None
+        if labels is None or labels.ndim != 2:
             raise ValueError("hypotheses must share one domain size")
-        self.matrix = np.array(rows, dtype=np.uint8)
-        self.hypotheses = [Hypothesis(self.matrix[i], i) for i in range(len(rows))]
+        if not ((labels == 0) | (labels == 1)).all():
+            raise ValueError("hypothesis labels must be in {0, 1}")
+        labels = labels.astype(np.uint8, copy=False)
+        self.matrix = labels[first_distinct_rows(labels)]
+        self.hypotheses = [Hypothesis(row, i) for i, row in enumerate(self.matrix)]
         self.family_tag = family_tag
 
     def __len__(self) -> int:
@@ -171,24 +179,19 @@ class HypothesisClass:
     @classmethod
     def thresholds(cls, n: int) -> "HypothesisClass":
         """All step labelings 1[x >= t], t = 0..n."""
-        vecs = [[1 if x >= t else 0 for x in range(n)] for t in range(n + 1)]
-        return cls(vecs, "thresholds")
+        return cls(np.arange(n) >= np.arange(n + 1)[:, None], "thresholds")
 
     @classmethod
     def intervals(cls, n: int) -> "HypothesisClass":
         """All labelings 1[a <= x < b] including the empty interval."""
-        vecs = [
-            [1 if a <= x < b else 0 for x in range(n)]
-            for a in range(n + 1)
-            for b in range(a, n + 1)
-        ]
-        return cls(vecs, "intervals")
+        a, b = np.triu_indices(n + 1)
+        x = np.arange(n)
+        return cls((a[:, None] <= x) & (x < b[:, None]), "intervals")
 
     @classmethod
     def singletons(cls, n: int) -> "HypothesisClass":
         """One indicator hypothesis per domain point."""
-        vecs = [[1 if x == i else 0 for x in range(n)] for i in range(n)]
-        return cls(vecs, "singletons")
+        return cls(np.eye(n, dtype=np.uint8), "singletons")
 
     @classmethod
     def from_family(cls, family: str, n: int,
@@ -346,8 +349,7 @@ class MdlInstance:
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "MdlInstance":

@@ -204,6 +204,11 @@ def exp3_step(w: SimplexWeights, chosen: int, observed_cost: float, eta: float,
     return SimplexWeights(_exp3_step(w.w, chosen, observed_cost, eta, exploration))
 
 
+def smooth_cap(k: int) -> float:
+    """The 2-smooth cap min(1, 2/k) on any one of k coordinates."""
+    return min(1.0, 2.0 / k)
+
+
 def smooth_argmax(losses: Sequence[float], cap: float) -> tuple[float, np.ndarray]:
     """Exact maximum of <w, losses> over the capped simplex {w : w_i <= cap}.
 

@@ -116,6 +116,19 @@ class TestSolve:
                        "--out", str(tmp_path / "missing" / "r.json"))
         assert code == 4
 
+    def test_non_binary_class_labels_exit_code(self, tmp_path, capsys):
+        inst = MdlInstance(2, [FiniteDistribution([(1, 1, 1.0)])],
+                           HypothesisClass([[0, 1], [1, 1]]))
+        obj = inst.to_dict()
+        obj["class"]["hypotheses"][0][0] = 0.7
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = run_cli("solve", "--algo", "finite", "--instance", str(path),
+                       "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "hypothesis labels must be in {0, 1}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_constant_exit_code(self, tmp_path):
         code = run_cli("solve", "--algo", "fast", "--family", "random",
                        "--constants", "Cbogus=2", "--out", str(tmp_path / "r.json"))

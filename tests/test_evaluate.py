@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import small_instances
+from multidist import evaluate
 from multidist.evaluate import (
     InstanceSpec,
     brute_force_opt,
@@ -137,15 +138,20 @@ class TestSmoothArgmax:
         assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
-def _minority_oracle(instance, h):
-    # independent shortcut: the best half-or-larger subset is the one with
-    # the ceil(k/2) smallest losses, so compare against that order statistic
-    losses = sorted(exact_loss(d, h) for d in instance.distributions)
+def _minority_oracle(instance, h, smooth_value=None):
+    # independent enumeration of every subset with at least half the
+    # distributions (2^k of them)
     k = instance.k
-    need = (k + 1) // 2
-    smooth_value, _ = smooth_argmax(
-        [exact_loss(d, h) for d in instance.distributions], min(1.0, 2.0 / k))
-    return losses[need - 1] <= smooth_value + 1e-12
+    losses = [exact_loss(d, h) for d in instance.distributions]
+    if smooth_value is None:
+        smooth_value, _ = smooth_argmax(losses, min(1.0, 2.0 / k))
+    for mask in range(1, 1 << k):
+        if 2 * mask.bit_count() < k:
+            continue
+        subset_max = max(losses[i] for i in range(k) if mask >> i & 1)
+        if subset_max <= smooth_value + 1e-12:
+            return True
+    return False
 
 
 class TestMinorityBound:
@@ -170,10 +176,37 @@ class TestMinorityBound:
             assert got == _minority_oracle(inst, h)
             assert got  # the bound is a theorem: False means a bug
 
-    def test_guard(self):
-        inst = generate(InstanceSpec("random", n=4, k=13, class_size=4, seed=0))
-        with pytest.raises(GuardError):
-            minority_bound_check(inst, inst.hypothesis_class.hypotheses[0])
+    def test_matches_enumeration_beyond_old_guard(self):
+        # k = 13..16 used to be refused by a k <= 12 guard
+        for k in range(13, 17):
+            for s in range(3):
+                inst = generate(InstanceSpec("random", n=6, k=k, class_size=10,
+                                             seed=derive_seed(89, k, s)))
+                for h in inst.hypothesis_class.hypotheses[:4]:
+                    got = minority_bound_check(inst, h)
+                    assert got == _minority_oracle(inst, h)
+                    assert got
+
+    def test_k_64(self):
+        inst = generate(InstanceSpec("shared_bayes", n=10, k=64, class_size=50,
+                                     seed=4))
+        for h in inst.hypothesis_class.hypotheses[:5]:
+            assert minority_bound_check(inst, h) is True
+
+    def test_matches_enumeration_at_every_threshold(self, monkeypatch):
+        # the bound always holds at the true 2-smooth max, so move the
+        # threshold across tied and untied losses to exercise both answers
+        rng = make_rng(77)
+        for s in range(200):
+            k = 1 + s % 9
+            losses = rng.integers(0, 5, size=k) / 4.0
+            dists = [FiniteDistribution([(0, 1, 1 - v), (0, 0, v)]) if 0 < v < 1
+                     else FiniteDistribution([(0, int(v == 0), 1.0)]) for v in losses]
+            inst = MdlInstance(1, dists, HypothesisClass([[1]]))
+            h = inst.hypothesis_class.hypotheses[0]
+            for t in (0.0, 0.25, 0.5, 0.75, 1.0, 0.1, 0.6):
+                monkeypatch.setattr(evaluate, "smooth_argmax", lambda v, cap: (t, None))
+                assert minority_bound_check(inst, h) == _minority_oracle(inst, h, t)
 
 
 class TestGenerate:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import distributions, hypothesis_classes
+from multidist.evaluate import GENERATOR_FAMILIES, InstanceSpec, generate
 from multidist.model import (
     DomainMismatchError,
     FiniteDistribution,
@@ -258,6 +259,31 @@ class TestHypothesisClass:
         b = HypothesisClass.intervals(5)
         assert np.array_equal(a.matrix, b.matrix)
 
+    @pytest.mark.parametrize("bad", [0.7, 2, -1, 1.5, float("nan")])
+    def test_rejects_non_binary_labels(self, bad):
+        # 0.7 used to be truncated to a 0 label
+        with pytest.raises(ValueError, match=r"hypothesis labels must be in \{0, 1\}"):
+            _class([bad, 1], [1, 1])
+
+    def test_accepts_bools_and_integral_floats(self):
+        expected = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        for rows in ([[False, True], [True, True]], [[0.0, 1.0], [1.0, 1.0]],
+                     np.array([[0.0, 1.0], [1.0, 1.0]])):
+            got = HypothesisClass(rows).matrix
+            assert np.array_equal(got, expected) and got.dtype == np.uint8
+
+    def test_empty_and_ragged_messages(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            HypothesisClass([])
+        with pytest.raises(ValueError, match="share one domain size"):
+            HypothesisClass(iter([[0, 1], [0, 1, 1]]))
+
+    def test_matrix_does_not_alias_input(self):
+        rows = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        cls = HypothesisClass(rows)
+        rows[0, 0] = 1
+        assert cls.matrix[0, 0] == 0
+
 
 class TestRandomizedHypothesis:
     def test_weights_normalized(self):
@@ -288,6 +314,16 @@ class TestSerialization:
         # probabilities survive the decimal round trip losslessly
         raw = json.loads(path.read_text())
         assert raw["distributions"][0][0][2] == 1.0
+
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    def test_save_bytes_equal_streaming_encoder(self, family, tmp_path):
+        inst = generate(InstanceSpec(family, n=9, k=5, class_size=60, seed=3))
+        path = tmp_path / "inst.json"
+        inst.save(str(path))
+        with open(tmp_path / "stream.json", "w", encoding="utf-8") as f:
+            json.dump(inst.to_dict(), f, sort_keys=True)
+            f.write("\n")
+        assert path.read_bytes() == (tmp_path / "stream.json").read_bytes()
 
 
 class TestRng:
