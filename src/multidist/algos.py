@@ -15,12 +15,20 @@ oracle with ``model._mixture_index``.  Each loop checks every round what
 those wrappers would check: the mid estimate lies in [0, k], the finite
 loop's observed cost lies in [0, 1], and both weight vectors are
 nonnegative, sum to 1 and respect the adversary's cap.  Learning rates are
-constant, so they are checked once, before the loop.  The finite loop
-computes the 0/1 cost row and the Hedge factor row of each drawn (point,
-label) once per run.  The fast loop keeps its public steps, since its cost
-is the ERM scan.  The object-level loops these replaced are kept in
-``tests/reference_mid.py`` and ``tests/reference_finite.py``, and the tests
-require identical reports.
+constant, so they are checked once, before the loop.
+
+Per run, both loops compute the learner's Hedge factor row of each drawn
+(point, label) once (the finite loop also keeps its 0/1 cost row).  The mid
+loop reuses the totals its simplex checks return: the adversary's total
+normalizes the next round's mixture, and the learner's total normalizes its
+prediction at the adversary's point while every learner weight is positive.
+Its adversary's estimate is one-hot, so the Hedge step scales the chosen
+weight alone before the capped projection.  The finite loop draws its two
+uniforms per round (oracle, then atom) in fixed-size blocks.  All of these
+give the bits the public steps give.  The fast loop keeps its public steps,
+since its cost is the ERM scan.  The object-level loops these replaced are
+kept in ``tests/reference_mid.py`` and ``tests/reference_finite.py``, and
+the tests require identical reports.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,7 +74,7 @@ from multidist.online import (
     _check_exp3_rates,
     _check_simplex,
     _exp3_step,
-    _hedge_step,
+    _project_capped,
     hedge_step_payoff,
     smooth_cap,
 )
@@ -79,6 +87,10 @@ ESTIMATORS = ("unbiased", "literal")
 # matters in degenerate dimensions (single action, k = 1).
 _RATE_FLOOR = 1e-9
 _RATE_CEIL = 0.5
+
+# Rounds whose uniforms the finite loop draws at once: memory stays O(1) in T
+# (a k = 64, eps = 0.01 run has T near 15 million).
+_PAIR_BLOCK = 4096
 
 
 def resolve_constants(overrides: dict[str, float] | None) -> dict[str, float]:
@@ -267,6 +279,19 @@ def _finite_schedule(class_size: int, k: int, epsilon: float, delta: float,
     return T, eta_learner, eta_exp3, exploration
 
 
+def _uniform_pairs(rng: np.random.Generator,
+                   count: int) -> Iterator[tuple[float, float]]:
+    """`count` pairs of uniforms, drawn in blocks of _PAIR_BLOCK pairs.
+
+    A block ``rng.random(2 * m)`` holds the doubles that 2 * m scalar
+    ``rng.random()`` calls would return, in order, and the last block is cut
+    to size, so the generator ends where the scalar calls would leave it.
+    """
+    for start in range(0, count, _PAIR_BLOCK):
+        u = rng.random(2 * min(_PAIR_BLOCK, count - start)).tolist()
+        yield from zip(u[0::2], u[1::2])
+
+
 def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
                  delta: float, rng: np.random.Generator, ledger: SampleLedger,
                  C: float, record_trace: bool,
@@ -278,17 +303,19 @@ def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
     # Plain arrays, as in the mid loop (see the module docstring).  The costs
     # of a drawn (point, label) and their Hedge factors are the same every
     # time it is drawn, so each is computed once.  Only drawn atoms get rows,
-    # which bounds the memory by the support, not by the domain.
+    # which bounds the memory by the support, not by the domain.  The
+    # uniforms come in blocks; each round takes one for the oracle and one
+    # for the atom, in the order scalar draws would take them.
     rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     _check_eta(eta_learner)
     _check_exp3_rates(eta_exp3, exploration)
     learner = SimplexWeights.uniform(class_size).w
     adversary = SimplexWeights.uniform(k).w
     mean_weights = np.zeros(class_size)
-    for t in range(T):
+    for t, (u_oracle, u_atom) in enumerate(_uniform_pairs(rng, T)):
         mean_weights += learner
-        chosen = _mixture_index(adversary, rng)
-        atom = _draw(instance, chosen, rng, ledger)
+        chosen = _mixture_index(adversary, u_oracle)
+        atom = _draw(instance, chosen, u_atom, ledger)
         if atom not in rows:
             costs = (hclass.matrix[:, atom[0]] != atom[1]).astype(np.float64)
             rows[atom] = costs, np.exp(-eta_learner * costs)
@@ -462,28 +489,41 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     _check_eta(eta_adversary)
     learner = SimplexWeights.uniform(len(sub)).w
     adversary = SimplexWeights.uniform(k, cap=cap).w
+    learner_min, learner_total = _check_simplex(learner, None)
+    _, adversary_total = _check_simplex(adversary, cap)
+    # The learner's Hedge factors at a drawn (point, label) are the same
+    # every time it is drawn, so each row is computed once.
+    factor_rows: dict[tuple[int, int], np.ndarray] = {}
     mean_weights = np.zeros(len(sub))
     trace: list[dict] = []
     for t in range(sched["T"]):
         mean_weights += learner
-        x, y = _mixture_draw(instance, adversary / adversary.sum(), rng, ledger)
-        learner_costs = (matrix[:, x] != y).astype(np.float64)
+        atom = _mixture_draw(instance, adversary / adversary_total, rng, ledger)
+        if atom not in factor_rows:
+            factor_rows[atom] = np.exp(-eta_learner * (matrix[:, atom[0]] != atom[1]))
         chosen = int(rng.integers(k))
-        x2, y2 = _draw(instance, chosen, rng, ledger)
-        loss = _label_loss(_prediction_at(learner, matrix[:, x2]), y2)
-        value = _estimate_value(loss, k, float(adversary[chosen]), estimator)
+        x2, y2 = _draw(instance, chosen, rng.random(), ledger)
+        # with every weight positive, the mask would keep them all, so the
+        # checked total is the normalizer
+        p1 = _prediction_at(learner, matrix[:, x2],
+                            learner_total if learner_min > 0 else None)
+        value = _estimate_value(_label_loss(p1, y2), k, float(adversary[chosen]),
+                                estimator)
         if not -SUM_TOL <= value <= k + SUM_TOL:
             raise ValueError(f"adversary estimate {value!r} outside [0, {k}]")
         if record_trace:
             trace.append({"t": t, "adversary": adversary.tolist(),
                           "learner_id": int(np.argmax(learner)),
                           "chosen": chosen, "estimate": value})
-        estimate = np.zeros(k)
-        estimate[chosen] = value
-        learner = _hedge_step(learner, learner_costs, eta_learner, None)
-        adversary = _hedge_step(adversary, estimate, eta_adversary, cap)
-        _check_simplex(learner, None)
-        _check_simplex(adversary, cap)
+        scaled = learner * factor_rows[atom]
+        learner = scaled / scaled.sum()
+        # The estimate is one-hot: every other coordinate's factor is
+        # exp(-0.0) = 1, so only the chosen weight is scaled.
+        scaled = adversary.copy()
+        scaled[chosen] *= np.exp(-eta_adversary * value)
+        adversary = _project_capped(scaled, cap)
+        learner_min, learner_total = _check_simplex(learner, None)
+        _, adversary_total = _check_simplex(adversary, cap)
     mean_weights /= sched["T"]
     config = {"epsilon": epsilon, "delta": delta, "constants": cons,
               "estimator": estimator, "vc_dim": d, "eta_learner": eta_learner,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -401,7 +402,10 @@ def cmd_audit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves no state in
+    it, and every call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="multidist",
         description="Multi-distribution learning dynamics with exact auditing")

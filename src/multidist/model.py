@@ -10,10 +10,14 @@ one row dedupe, for classes and for ``cover.projection_cover`` alike.
 
 The private draws (``_draw``, ``_mixture_index``, ``_mixture_draw``) are
 what the dynamics loops call every round; the public oracles validate their
-arguments and then call them.  ``_mixture_index`` repeats the arithmetic of
-``rng.choice(k, p=p)``, so a loop that uses it draws the same oracles from
-the same generator state.  The VC search tests shattering by counting the
-distinct label codes with ``np.bincount``.
+arguments and then call them.  The private draws take their uniforms as
+arguments, one scalar ``rng.random()`` each (the same double and generator
+state as ``rng.random(1)``), so a loop may also draw them in blocks.
+``_mixture_index`` repeats the arithmetic of ``rng.choice(k, p=p)``, so a
+loop that uses it draws the same oracles from the same generator state.
+Every atom, scalar or batched, is looked up by one inverse-CDF method,
+``FiniteDistribution.atom_index``.  The VC search tests shattering by
+counting the distinct label codes with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -95,7 +99,11 @@ class FiniteDistribution:
         self.points = pts
         self.labels = lbs
         self.probs = _normalized(pbs, "FiniteDistribution")
+        # The last atom's upper edge is +inf rather than the rounded total, so
+        # every uniform lands on an atom: the same atom a clamp to the last
+        # index would give, without the clamp.
         self._cdf = np.cumsum(self.probs)
+        self._cdf[-1] = np.inf
 
     @property
     def support_size(self) -> int:
@@ -110,11 +118,14 @@ class FiniteDistribution:
     def max_point(self) -> int:
         return int(self.points.max())
 
+    def atom_index(self, u: float | np.ndarray):
+        """Inverse-CDF index of the atom at the uniform u in [0, 1), or the
+        indices at an array of uniforms; every draw looks atoms up here."""
+        return self._cdf.searchsorted(u, side="right")
+
     def draw_indices(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF indices of `count` i.i.d. atoms (no ledger here)."""
-        u = rng.random(count)
-        return np.minimum(np.searchsorted(self._cdf, u, side="right"),
-                          len(self.probs) - 1)
+        return self.atom_index(rng.random(count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,18 +225,23 @@ def _label_loss(p1: float, label: int) -> float:
     return 1.0 - p1 if label == 1 else p1
 
 
-def _prediction_at(weights: np.ndarray, column: np.ndarray) -> float:
+def _prediction_at(weights: np.ndarray, column: np.ndarray,
+                   total: float | None = None) -> float:
     """Probability of label 1 at one point under the mixture with these
     weights over hypotheses whose labels there are `column`.
 
     Bit-identical to ``RandomizedHypothesis.from_weights(hyps, weights)
     .prediction_mean()[point]``: the positive weights are normalized by their
     own sum, then added up in hypothesis order (a sequential sum, unlike the
-    pairwise one a dot product would take).
+    pairwise one a dot product would take).  A caller whose weights are all
+    positive may pass their sum as `total`: the positive weights are then the
+    whole vector, so the masking is skipped and the sum is the same.
     """
-    pos = weights > 0
-    w = weights[pos]
-    return float(np.add.accumulate((w / w.sum()) * column[pos])[-1])
+    if total is None:
+        pos = weights > 0
+        weights, column = weights[pos], column[pos]
+        total = weights.sum()
+    return float(np.add.accumulate((weights / total) * column)[-1])
 
 
 class RandomizedHypothesis:
@@ -256,13 +272,16 @@ class RandomizedHypothesis:
         return cls(pairs)
 
     def prediction_mean(self) -> np.ndarray:
-        """Per-point probability of predicting label 1."""
+        """Per-point probability of predicting label 1.
+
+        The weighted label rows are added up in atom order, a sequential sum
+        (not the pairwise one ``sum`` would take).
+        """
         if self._pred_mean is None:
-            n = len(self.atoms[0][0].labels)
-            pm = np.zeros(n, dtype=np.float64)
-            for h, w in self.atoms:
-                pm += w * h.labels
-            self._pred_mean = pm
+            weights = np.array([w for _, w in self.atoms])
+            labels = np.array([h.labels for h, _ in self.atoms])
+            terms = weights[:, None] * labels
+            self._pred_mean = np.add.accumulate(terms, axis=0)[-1].copy()
         return self._pred_mean
 
     def expected_loss(self, z: LabeledExample) -> float:
@@ -377,31 +396,36 @@ def exact_loss(dist: FiniteDistribution,
     return float(per_atom @ dist.probs)
 
 
-def _draw(instance: MdlInstance, i: int, rng: np.random.Generator,
+def _draw(instance: MdlInstance, i: int, u: float,
           ledger: SampleLedger) -> tuple[int, int]:
-    """One ledgered draw from distribution i, as (point, label); i unchecked."""
+    """One ledgered draw from distribution i at the uniform u, as
+    (point, label); i unchecked."""
     dist = instance.distributions[i]
-    idx = int(dist.draw_indices(1, rng)[0])
+    idx = dist.atom_index(u)
     ledger.record(i, 1)
     return int(dist.points[idx]), int(dist.labels[idx])
 
 
-def _mixture_index(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn with probabilities p (nonnegative, normalized, unchecked).
+def _mixture_index(p: np.ndarray, u: float) -> int:
+    """Index drawn at the uniform u with probabilities p (nonnegative,
+    normalized, unchecked).
 
-    This is the arithmetic of ``rng.choice(len(p), p=p)``, so it returns the
-    same index and leaves the generator in the same state, without the
-    validation ``choice`` repeats on every call.
+    With ``u = rng.random()`` this is the arithmetic of
+    ``rng.choice(len(p), p=p)``, so it returns the same index and leaves the
+    generator in the same state, without the validation ``choice`` repeats
+    on every call.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(u, side="right"))
 
 
 def _mixture_draw(instance: MdlInstance, p: np.ndarray, rng: np.random.Generator,
                   ledger: SampleLedger) -> tuple[int, int]:
-    """One ledgered draw from the mixture with normalized weights p."""
-    return _draw(instance, _mixture_index(p, rng), rng, ledger)
+    """One ledgered draw from the mixture with normalized weights p: the
+    first uniform picks the distribution, the second the atom."""
+    i = _mixture_index(p, rng.random())
+    return _draw(instance, i, rng.random(), ledger)
 
 
 def oracle_sample(instance: MdlInstance, i: int, rng: np.random.Generator,
@@ -409,7 +433,7 @@ def oracle_sample(instance: MdlInstance, i: int, rng: np.random.Generator,
     """One ledgered draw from distribution i."""
     if not 0 <= i < instance.k:
         raise IndexError(f"oracle {i} out of range")
-    return LabeledExample(*_draw(instance, i, rng, ledger))
+    return LabeledExample(*_draw(instance, i, rng.random(), ledger))
 
 
 def oracle_sample_many(instance: MdlInstance, i: int, count: int,

@@ -7,6 +7,13 @@ carry an optional per-coordinate cap; a capped Hedge step is the plain
 multiplicative update followed by the KL projection back onto the capped
 simplex, which preserves the exponential-weights regret analysis against
 capped comparators.
+
+The unchecked private steps (``_check_simplex``, ``_project_capped``,
+``_exp3_step``) are what the dynamics loops in ``algos`` call every round;
+the loops do the plain Hedge multiply themselves, on cached factor rows.
+``_check_simplex`` returns the minimum and the total it computes, so a loop
+can reuse them instead of summing again, and ``_project_capped`` returns
+the normalized vector at once when no coordinate exceeds the cap.
 """
 
 from __future__ import annotations
@@ -20,18 +27,22 @@ import numpy as np
 from multidist.model import SUM_TOL
 
 
-def _check_simplex(w: np.ndarray, cap: float | None) -> None:
+def _check_simplex(w: np.ndarray, cap: float | None) -> tuple[float, float]:
     """Raise unless w is nonnegative, sums to 1 and stays at or below cap.
 
-    The sum test is written so that a NaN sum fails it.
+    Returns the minimum and the total it computed (``np.add.reduce``, the
+    same bits as ``w.sum()``), for a loop to reuse.  The sum test is written
+    so that a NaN sum fails it.
     """
-    if w.min() < 0:
+    low = float(w.min())
+    if low < 0:
         raise ValueError("weights must be nonnegative")
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
     if cap is not None and float(w.max()) > cap + SUM_TOL:
         raise ValueError("weight exceeds declared cap")
+    return low, total
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +113,12 @@ def _check_eta(eta: float) -> None:
 
 def _project_capped(v: np.ndarray, cap: float) -> np.ndarray:
     """The projection of :func:`project_capped`, without input checks."""
-    d = len(v)
     w = v / v.sum()
-    clamped = np.zeros(d, dtype=bool)
-    for _ in range(d):
-        over = (w > cap) & ~clamped
-        if not over.any():
-            break
-        clamped |= over
+    over = w > cap
+    if not over.any():
+        return w
+    clamped = over
+    while True:  # each pass clamps at least one more coordinate
         residual = 1.0 - cap * int(clamped.sum())
         w = np.where(clamped, cap, 0.0)
         free = ~clamped
@@ -122,7 +131,10 @@ def _project_capped(v: np.ndarray, cap: float) -> np.ndarray:
                 w[free] = (source / src_total) * residual
             else:
                 w[free] = residual / int(free.sum())
-    return w
+        over = (w > cap) & ~clamped
+        if not over.any():
+            return w
+        clamped |= over
 
 
 def project_capped(raw: Sequence[float], cap: float) -> SimplexWeights:
@@ -144,15 +156,6 @@ def project_capped(raw: Sequence[float], cap: float) -> SimplexWeights:
     return SimplexWeights(_project_capped(v, cap), cap=cap)
 
 
-def _hedge_step(w: np.ndarray, costs: np.ndarray, eta: float,
-                cap: float | None) -> np.ndarray:
-    """The update of :func:`hedge_step_cost` on plain arrays, unchecked."""
-    scaled = w * np.exp(-eta * costs)
-    if cap is None:
-        return scaled / scaled.sum()
-    return _project_capped(scaled, cap)
-
-
 def hedge_step_cost(w: SimplexWeights, costs: CostVector | Sequence[float],
                     eta: float) -> SimplexWeights:
     """Multiplicative-weights step penalizing per-coordinate costs.
@@ -161,7 +164,10 @@ def hedge_step_cost(w: SimplexWeights, costs: CostVector | Sequence[float],
     """
     _check_eta(eta)
     c = _cost_values(costs, len(w))
-    return SimplexWeights(_hedge_step(w.w, c, eta, w.cap), cap=w.cap)
+    scaled = w.w * np.exp(-eta * c)
+    if w.cap is None:
+        return SimplexWeights(scaled / scaled.sum())
+    return SimplexWeights(_project_capped(scaled, w.cap), cap=w.cap)
 
 
 def hedge_step_payoff(w: SimplexWeights, payoffs: CostVector | Sequence[float],

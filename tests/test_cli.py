@@ -339,3 +339,44 @@ class TestWilson:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             cli.wilson_interval(0, 0)
+
+
+class TestParserReuse:
+    # gen, sweep, a usage error, then solve: one process, one parser
+    CALLS = [
+        ("gen", "--family", "realizable", "--k", "3", "--n", "6", "--seed", "5",
+         "--out", "{dir}/inst.json"),
+        ("sweep", "--algo", "mid", "--family", "random", "--n", "6", "--k", "3",
+         "--epsilon", "0.45", "--delta", "0.3", "--seeds", "0,1",
+         "--out", "{dir}/sweep.csv"),
+        ("sweep", "--algo", "nope", "--out", "{dir}/bad.csv"),
+        ("solve", "--algo", "finite", "--instance", "{dir}/inst.json",
+         "--epsilon", "0.45", "--delta", "0.3", "--seed", "2",
+         "--out", "{dir}/report.json"),
+    ]
+
+    def _run_all(self, directory, capsys, fresh: bool) -> list:
+        results = []
+        for call in self.CALLS:
+            if fresh:
+                cli.build_parser.cache_clear()
+            argv = [a.format(dir=directory) for a in call]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out.replace(str(directory), "<dir>"),
+                            captured.err))
+        files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+        return results + [files]
+
+    def test_cached_parser_matches_fresh_parsers(self, tmp_path, capsys):
+        (tmp_path / "cached").mkdir()
+        (tmp_path / "fresh").mkdir()
+        cli.build_parser.cache_clear()
+        cached = self._run_all(tmp_path / "cached", capsys, fresh=False)
+        fresh = self._run_all(tmp_path / "fresh", capsys, fresh=True)
+        assert [r[0] for r in cached[:-1]] == [0, 0, 2, 0]
+        assert cached == fresh
+        assert cli.build_parser() is cli.build_parser()

@@ -77,6 +77,23 @@ class TestAgainstReference:
         assert any(rec["observed_loss"] == 1.0 for tr in finite_traces for rec in tr)
 
 
+class TestBlockDrawnUniforms:
+    @pytest.mark.parametrize("count", [0, 1, 6, 7, 8, 23])
+    def test_pairs_match_scalar_draws(self, count, monkeypatch):
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        ours, theirs = make_rng(8206), make_rng(8206)
+        pairs = list(algos._uniform_pairs(ours, count))
+        assert pairs == [(theirs.random(), theirs.random()) for _ in range(count)]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_reports_identical_across_blocks(self, monkeypatch):
+        # small blocks, so every run spans several, the last one cut short
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        cases = [(f"suite member {s}", suite_instance(s), 0.45, 0.3, 0.3,
+                  derive_seed(8207, s)) for s in range(0, 40, 4)]
+        _assert_same_as_reference(monkeypatch, cases)
+
+
 class TestMixtureIndex:
     def test_matches_rng_choice(self):
         draw = make_rng(8203)
@@ -87,7 +104,7 @@ class TestMixtureIndex:
             p[draw.random(k) < 0.3] = 0.0
             p[draw.integers(k)] += 0.5  # keep some mass
             p /= p.sum()
-            assert _mixture_index(p, ours) == int(theirs.choice(k, p=p))
+            assert _mixture_index(p, ours.random()) == int(theirs.choice(k, p=p))
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 

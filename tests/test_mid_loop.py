@@ -7,12 +7,20 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import small_instances, suite_instance
 from multidist import algos
 from multidist.algos import run_mid, run_personalized
 from multidist.evaluate import InstanceSpec, generate
-from multidist.model import FiniteDistribution, derive_seed
+from multidist.model import (
+    FiniteDistribution,
+    HypothesisClass,
+    RandomizedHypothesis,
+    _prediction_at,
+    derive_seed,
+)
+from multidist.online import _check_simplex
 from reference_mid import reference_run_mid
 
 SUITE = range(40)
@@ -63,17 +71,41 @@ class TestAgainstReference:
                 binding += sum(max(rec["adversary"]) == cap for rec in ours.trace)
         assert binding > 0
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_mid_identical_at_small_k(self, k, monkeypatch):
+        # k that are not powers of two, and k = 2, where the cap is 1
+        paths: Counter = Counter()
+        project = algos._project_capped
+
+        def counted(v, cap):
+            paths["clamp" if (v / v.sum() > cap).any() else "early"] += 1
+            return project(v, cap)
+
+        monkeypatch.setattr(algos, "_project_capped", counted)
+        for s in range(3):
+            inst = generate(InstanceSpec("random", n=6, k=k, class_size=16,
+                                         seed=derive_seed(8105, k, s)))
+            for estimator in algos.ESTIMATORS:
+                ours = run_mid(inst, 0.3, 0.2, s, estimator=estimator)
+                ref = reference_run_mid(inst, 0.3, 0.2, s, estimator=estimator)
+                assert _same(ours, ref), f"seed {s}, {estimator}"
+        assert paths["early"] > 0
+        assert (paths["clamp"] > 0) == (k > 2)
+
 
 def _counting_draws(monkeypatch) -> Counter:
-    """Count the atoms drawn from each distribution object, ledger aside."""
+    """Count the atoms drawn from each distribution object, ledger aside.
+
+    Scalar and batched draws alike look their atoms up through
+    ``FiniteDistribution.atom_index``, one index per uniform."""
     drawn: Counter = Counter()
-    original = FiniteDistribution.draw_indices
+    original = FiniteDistribution.atom_index
 
-    def draw_indices(self, count, rng):
-        drawn[id(self)] += count
-        return original(self, count, rng)
+    def atom_index(self, u):
+        drawn[id(self)] += np.size(u)
+        return original(self, u)
 
-    monkeypatch.setattr(FiniteDistribution, "draw_indices", draw_indices)
+    monkeypatch.setattr(FiniteDistribution, "atom_index", atom_index)
     return drawn
 
 
@@ -93,3 +125,22 @@ class TestLoopInvariants:
             assert w.max() <= cap + 1e-12
         assert sum(rep.ledger_per_oracle) == rep.config["N"] + 2 * rep.config["T"]
         assert rep.ledger_per_oracle == [drawn[id(d)] for d in inst.distributions]
+
+    @given(raw=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
+                        min_size=1, max_size=40).filter(lambda r: sum(r) > 0),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reused_total_prediction_is_bitwise(self, raw, data):
+        weights = np.asarray(raw) / np.sum(raw)
+        column = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(raw),
+                                             max_size=len(raw))), dtype=np.uint8)
+        low, total = _check_simplex(weights, None)
+        assert (low > 0) == (0.0 not in raw)
+        # the mid loop's call: the total only when every weight is positive
+        ours = _prediction_at(weights, column, total if low > 0 else None)
+        assert ours == _prediction_at(weights, column)
+        # point 0 carries `column`; the other points keep the rows distinct
+        index_bits = (np.arange(len(raw))[:, None] >> np.arange(6)) & 1
+        hyps = HypothesisClass(np.column_stack([column, index_bits])).hypotheses
+        mix = RandomizedHypothesis.from_weights(hyps, weights)
+        assert ours == float(mix.prediction_mean()[0])

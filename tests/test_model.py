@@ -17,6 +17,7 @@ from multidist.model import (
     MdlInstance,
     RandomizedHypothesis,
     SampleLedger,
+    _draw,
     brute_force_vc,
     exact_loss,
     make_rng,
@@ -124,6 +125,40 @@ class TestFiniteDistribution:
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
             FiniteDistribution([(0, 2, 1.0)])
+
+
+class TestInverseCdf:
+    @given(d=distributions(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_atom_index_matches_clamped_search(self, d, seed):
+        cdf = np.cumsum(d.probs)
+        u = np.concatenate([make_rng(seed).random(50), cdf, [0.0, np.nextafter(1.0, 0.0)]])
+        u = u[u < 1.0]
+        clamped = np.minimum(np.searchsorted(cdf, u, side="right"), d.support_size - 1)
+        assert np.array_equal(d.atom_index(u), clamped)
+        assert [int(d.atom_index(float(x))) for x in u] == clamped.tolist()
+
+    def test_trailing_zero_mass_and_rounded_total(self):
+        # the cumulative sum ends below 1; uniforms above it take the last atom
+        d = FiniteDistribution([(x, 0, 0.1) for x in range(10)] + [(10, 1, 0.0)])
+        last = float(np.cumsum(d.probs)[-1])
+        assert last < 1.0
+        assert int(d.atom_index(np.nextafter(1.0, 0.0))) == 10
+        assert int(d.atom_index(last)) == 10
+        assert int(d.atom_index(np.nextafter(last, 0.0))) == 9
+
+    @given(d=distributions(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_draw_matches_one_element_batch(self, d, seed):
+        inst = _instance([d], _class([0] * 6, [1] * 6), n=6)
+        ledger = SampleLedger(1)
+        ours, theirs = make_rng(seed), make_rng(seed)
+        for _ in range(20):
+            idx = int(d.draw_indices(1, theirs)[0])
+            assert _draw(inst, 0, ours.random(), ledger) == (
+                int(d.points[idx]), int(d.labels[idx]))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ledger.per_oracle == [20]
 
 
 class TestOracleSample:
@@ -336,3 +371,27 @@ class TestRng:
         ledger = SampleLedger(2)
         with pytest.raises(ValueError):
             ledger.record(0, -1)
+
+
+class TestPredictionMean:
+    @given(hclass=hypothesis_classes(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sequential_loop_bitwise(self, hclass, data):
+        m = data.draw(st.integers(1, len(hclass)))
+        raw = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=m, max_size=m)))
+        self._check(RandomizedHypothesis(zip(hclass.hypotheses[:m], raw / raw.sum())))
+
+    def test_equals_sequential_loop_on_wide_mixtures(self):
+        rng = make_rng(31)
+        for m in (1, 2, 1000):
+            hclass = HypothesisClass(rng.integers(0, 2, size=(m, 16)))
+            raw = rng.random(len(hclass))
+            self._check(RandomizedHypothesis.from_weights(hclass.hypotheses,
+                                                          raw / raw.sum()))
+
+    @staticmethod
+    def _check(mix):
+        loop = np.zeros(len(mix.atoms[0][0].labels))
+        for h, w in mix.atoms:
+            loop += w * h.labels
+        assert mix.prediction_mean().tobytes() == loop.tobytes()

@@ -15,6 +15,7 @@ from multidist.online import (
     CostVector,
     RegretLedger,
     SimplexWeights,
+    _check_simplex,
     exp3_step,
     hedge_step_cost,
     hedge_step_payoff,
@@ -40,6 +41,26 @@ class TestSimplexWeights:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             SimplexWeights(np.array([np.nan, 1.0]))
+
+
+class TestCheckSimplex:
+    @given(w=simplex_vectors(max_dim=64))
+    @settings(max_examples=300, deadline=None)
+    def test_returns_min_and_sum_bitwise(self, w):
+        low, total = _check_simplex(w, None)
+        assert low == float(w.min())
+        assert total == float(w.sum())
+
+    @pytest.mark.parametrize("w, cap, message", [
+        ([0.5, np.nan, 0.5], None, "sum to nan"),
+        ([np.nan, 0.5, 0.5], 1.0, "sum to nan"),
+        ([-0.25, 1.25], None, "nonnegative"),
+        ([0.7, 0.3], 0.5, "cap"),
+        ([0.25, 0.25, 0.25], None, "not 1"),
+    ])
+    def test_rejects(self, w, cap, message):
+        with pytest.raises(ValueError, match=message):
+            _check_simplex(np.array(w), cap)
 
 
 class TestHedgeCost:
