@@ -17,14 +17,14 @@ _EXPORTS = {
         "DomainMismatchError", "FiniteDistribution", "GuardError", "Hypothesis",
         "HypothesisClass", "LabeledExample", "MdlInstance", "RandomizedHypothesis",
         "SampleLedger", "brute_force_vc", "derive_seed", "exact_loss", "make_rng",
-        "mixture_sample", "oracle_sample", "zero_one_loss",
+        "mixture_sample", "oracle_sample", "vc_dimension", "zero_one_loss",
     ),
     "evaluate": (
         "InstanceSpec", "OptResult", "brute_force_opt", "generate", "max_loss",
         "minority_bound_check",
     ),
     "online": (
-        "CostVector", "RegretLedger", "SimplexWeights", "exp3_step",
+        "CostVector", "SimplexWeights", "exp3_step",
         "hedge_step_cost", "hedge_step_payoff", "payoff_regret_of",
         "project_capped", "regret_of", "smooth_argmax", "smooth_cap",
     ),

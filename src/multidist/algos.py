@@ -60,11 +60,11 @@ from multidist.model import (
     _mixture_draw,
     _mixture_index,
     _prediction_at,
-    brute_force_vc,
     derive_seed,
     make_rng,
     mixture_sample_many,
     oracle_sample_many,
+    vc_dimension,
     zero_one_loss,
 )
 from multidist.online import (
@@ -115,7 +115,7 @@ def _resolve_vc(instance: MdlInstance, vc_dim: int | None) -> int:
         if vc_dim < 0:
             raise ValueError("vc_dim must be >= 0")
         return vc_dim
-    return brute_force_vc(instance.hypothesis_class, instance.domain_size)
+    return vc_dimension(instance.hypothesis_class)
 
 
 @dataclass
@@ -156,17 +156,11 @@ def _mixture_to_dict(h: RandomizedHypothesis | None) -> dict | None:
         return None
     return {
         "atoms": [
-            {"id": hyp.id, "weight": w, "labels": hyp.labels.astype(int).tolist()}
-            for hyp, w in h.atoms
+            {"id": i, "weight": w, "labels": labels}
+            for i, w, labels in zip(h.ids.tolist(), h.weights.tolist(),
+                                    h.labels.astype(int).tolist())
         ]
     }
-
-
-def _uniform_over_ids(hclass: HypothesisClass, ids: Sequence[int]) -> RandomizedHypothesis:
-    weights = np.zeros(len(hclass))
-    for i in ids:
-        weights[i] += 1.0 / len(ids)
-    return RandomizedHypothesis.from_weights(hclass.hypotheses, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +245,10 @@ def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
             trace.append({"t": t, "adversary": adversary.w.tolist(),
                           "learner_id": h.id, "payoffs": payoffs.tolist()})
         adversary = hedge_step_payoff(adversary, payoffs, params.alpha)
+    # the uniform mixture over the rounds' minimizers: np.add.at adds one
+    # term per round, in round order, so a repeated id sums its terms
+    weights = np.zeros(len(hclass))
+    np.add.at(weights, chosen_ids, 1.0 / len(chosen_ids))
     config = {
         "epsilon_requested": epsilon, "epsilon": params.epsilon,
         "alpha": alpha, "delta": delta, "clamped": params.clamped,
@@ -260,7 +258,7 @@ def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
     }
     return RunReport(
         algorithm="fast", seed=seed, config=config,
-        hypothesis=_uniform_over_ids(hclass, chosen_ids),
+        hypothesis=RandomizedHypothesis(hclass.matrix, weights),
         ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
         trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)
 
@@ -338,7 +336,7 @@ def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
     mean_weights /= T
     meta = {"T": T, "eta_learner": eta_learner, "eta_exp3": eta_exp3,
             "exploration": exploration, "class_size": class_size}
-    return RandomizedHypothesis.from_weights(hclass.hypotheses, mean_weights), meta
+    return RandomizedHypothesis(hclass.matrix, mean_weights), meta
 
 
 def run_finite(instance: MdlInstance, epsilon: float, delta: float, seed: int,
@@ -530,7 +528,7 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
               "cover_behaviors": cover.behavior_count, **sched}
     return RunReport(
         algorithm="mid", seed=seed, config=config,
-        hypothesis=RandomizedHypothesis.from_weights(sub.hypotheses, mean_weights),
+        hypothesis=RandomizedHypothesis(matrix, mean_weights),
         ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
         trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)
 

@@ -39,9 +39,9 @@ from multidist.model import (
     GuardError,
     MdlInstance,
     RandomizedHypothesis,
-    brute_force_vc,
     derive_seed,
     exact_loss,
+    vc_dimension,
 )
 from multidist.online import smooth_argmax, smooth_cap
 
@@ -110,10 +110,10 @@ def _argmin_stub(instance: MdlInstance, seed: int) -> RunReport:
     Useful for validating the audit path itself (its failure rate must be 0).
     """
     opt = brute_force_opt(instance)
-    h = instance.hypothesis_class.hypotheses[opt.argmin_id]
+    row = instance.hypothesis_class.matrix[[opt.argmin_id]]
     return RunReport(algorithm="argmin_stub", seed=seed,
                      config={"argmin_id": opt.argmin_id},
-                     hypothesis=RandomizedHypothesis.single(h),
+                     hypothesis=RandomizedHypothesis(row, [1.0], [opt.argmin_id]),
                      ledger_per_oracle=[0] * instance.k, ledger_total=0,
                      trace=[])
 
@@ -146,10 +146,8 @@ def _run_algorithm(algo: str, instance: MdlInstance, task: dict,
 
 
 def _evaluate_run(instance: MdlInstance, report: RunReport, epsilon: float,
-                  alpha: float, opt: OptResult | None = None) -> dict:
-    """Exact losses of the run's output against OPT (computed if not given)."""
-    if opt is None:
-        opt = brute_force_opt(instance)
+                  alpha: float, opt: OptResult) -> dict:
+    """Exact losses of the run's output against the instance's OPT."""
     if report.assignments is not None:
         losses = [exact_loss(instance.distributions[i], h)
                   for i, h in sorted(report.assignments.items())]
@@ -173,7 +171,7 @@ def _evaluate_run(instance: MdlInstance, report: RunReport, epsilon: float,
 
 def _vc_or_none(instance: MdlInstance) -> int | None:
     try:
-        return brute_force_vc(instance.hypothesis_class, instance.domain_size)
+        return vc_dimension(instance.hypothesis_class)
     except GuardError:
         return None
 
@@ -189,10 +187,13 @@ def _new_row(task: dict) -> dict:
 def _run_cell(task: dict, row: dict | None) -> tuple[RunReport, dict]:
     """Generate, run and evaluate one cell, filling `row` (if given) as it goes.
 
-    The VC dimension is computed once, for the row, and handed to the run;
-    the exact optimum generation computed is handed to the evaluation.
+    The exact optimum (the one generation computed, if any) comes first, so
+    its size guard trips before any other work; the VC dimension is
+    computed once, for the row, and handed to the run.
     """
     instance, opt = _instance_from_task(task)
+    if opt is None:
+        opt = brute_force_opt(instance)
     vc_dim = None
     if row is not None:
         vc_dim = _vc_or_none(instance)
@@ -309,7 +310,7 @@ def cmd_gen(args) -> int:
         if opt is None:
             opt = brute_force_opt(instance)
         print(f"OPT={opt.opt_value!r}")
-        print(f"VC={brute_force_vc(instance.hypothesis_class, instance.domain_size)}")
+        print(f"VC={vc_dimension(instance.hypothesis_class)}")
     except GuardError:
         print("OPT/VC skipped (size guard)")
     return 0

@@ -54,7 +54,8 @@ def empirical_loss(h: Hypothesis | RandomizedHypothesis, batch: SampleBatch) -> 
 
 
 def erm(hclass: HypothesisClass, batch: SampleBatch) -> Hypothesis:
-    """Exhaustive empirical minimizer; ties broken by lowest id.
+    """Exhaustive empirical minimizer, as one new Hypothesis over its
+    class row; ties broken by lowest id.
 
     Mistakes are counted from the batch's (point, label) histogram c: a
     hypothesis errs on the c[x, 1] ones at points it labels 0 and on the
@@ -73,7 +74,8 @@ def erm(hclass: HypothesisClass, batch: SampleBatch) -> Hypothesis:
         raise ValueError("batch labels must be in {0, 1}")
     c = np.bincount(points * 2 + labels, minlength=2 * n).reshape(n, 2)
     mistakes = hclass.matrix @ (c[:, 0] - c[:, 1]) + c[:, 1].sum()
-    return hclass.hypotheses[int(np.argmin(mistakes))]
+    best = int(np.argmin(mistakes))
+    return Hypothesis(hclass.matrix[best], best)
 
 
 def projection_cover(hclass: HypothesisClass, points: Sequence[int]) -> CoverResult:

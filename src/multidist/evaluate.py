@@ -169,7 +169,7 @@ def _build(spec: InstanceSpec, rng: np.random.Generator) -> tuple[MdlInstance, i
 
     if spec.family == "realizable":
         planted = int(rng.integers(len(hclass)))
-        star = hclass.hypotheses[planted].labels
+        star = hclass.matrix[planted]
         dists = []
         for _ in range(k):
             pts = _support_points(n, rng)
@@ -191,11 +191,11 @@ def _build(spec: InstanceSpec, rng: np.random.Generator) -> tuple[MdlInstance, i
 
     # shared_bayes: one conditional label rule for every distribution, with
     # differing marginals; the planted rule is Bayes-optimal everywhere.
-    planted_vec = (hclass.hypotheses[int(rng.integers(len(hclass)))].labels
+    planted_vec = (hclass.matrix[int(rng.integers(len(hclass)))]
                    if spec.class_family != "explicit"
                    else rng.integers(0, 2, size=n).astype(np.uint8))
-    hclass, planted = _with_member(hclass, np.asarray(planted_vec))
-    star = hclass.hypotheses[planted].labels
+    hclass, planted = _with_member(hclass, planted_vec)
+    star = hclass.matrix[planted]
     noise = rng.uniform(0.05, 0.45, size=n)
     q = np.where(star == 1, 1.0 - noise, noise)  # P(label=1 | x)
     dists = []

@@ -153,10 +153,11 @@ class HypothesisClass:
     Every class, structured families included, is built from one label
     matrix whose repeated rows are dropped (first occurrence kept), so ERM
     scans, coverings, and the brute-force optimum all enumerate the same
-    explicit rows.
+    explicit rows.  The per-row :class:`Hypothesis` objects are built only
+    when ``hypotheses`` is first read; the algorithms never read it.
     """
 
-    __slots__ = ("hypotheses", "family_tag", "matrix")
+    __slots__ = ("matrix", "family_tag", "_hypotheses")
 
     def __init__(self, label_vectors: Iterable[Sequence[int]], family_tag: str = "explicit"):
         if family_tag not in CLASS_FAMILIES:
@@ -174,11 +175,18 @@ class HypothesisClass:
             raise ValueError("hypothesis labels must be in {0, 1}")
         labels = labels.astype(np.uint8, copy=False)
         self.matrix = labels[first_distinct_rows(labels)]
-        self.hypotheses = [Hypothesis(row, i) for i, row in enumerate(self.matrix)]
         self.family_tag = family_tag
+        self._hypotheses: list[Hypothesis] | None = None
+
+    @property
+    def hypotheses(self) -> list[Hypothesis]:
+        """One Hypothesis per row, its id the row index."""
+        if self._hypotheses is None:
+            self._hypotheses = [Hypothesis(row, i) for i, row in enumerate(self.matrix)]
+        return self._hypotheses
 
     def __len__(self) -> int:
-        return len(self.hypotheses)
+        return len(self.matrix)
 
     def __iter__(self):
         return iter(self.hypotheses)
@@ -230,7 +238,7 @@ def _prediction_at(weights: np.ndarray, column: np.ndarray,
     """Probability of label 1 at one point under the mixture with these
     weights over hypotheses whose labels there are `column`.
 
-    Bit-identical to ``RandomizedHypothesis.from_weights(hyps, weights)
+    Bit-identical to ``RandomizedHypothesis(labels, weights)
     .prediction_mean()[point]``: the positive weights are normalized by their
     own sum, then added up in hypothesis order (a sequential sum, unlike the
     pairwise one a dot product would take).  A caller whose weights are all
@@ -245,31 +253,36 @@ def _prediction_at(weights: np.ndarray, column: np.ndarray,
 
 
 class RandomizedHypothesis:
-    """Convex mixture of hypotheses; losses are exact expectations."""
+    """Convex mixture of hypotheses; losses are exact expectations.
 
-    __slots__ = ("atoms", "_pred_mean")
+    Built from weights over the rows of a label matrix (a class matrix, say),
+    with ids `ids` or else the row indices, it keeps three arrays over the
+    rows of positive weight: label rows, ids and weights normalized by their sum.
+    """
 
-    def __init__(self, atoms: Iterable[tuple[Hypothesis, float]]):
-        pairs = [(h, float(w)) for h, w in atoms]
-        if not pairs:
+    __slots__ = ("labels", "ids", "weights", "_pred_mean")
+
+    def __init__(self, labels: np.ndarray, weights: Sequence[float],
+                 ids: Sequence[int] | None = None):
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (len(labels),):
+            raise ValueError("weights length must match hypotheses")
+        keep = np.flatnonzero(w > 0.0)
+        if len(keep) == 0:
             raise ValueError("mixture needs at least one atom")
-        weights = np.array([w for _, w in pairs], dtype=np.float64)
-        weights = _normalized(weights, "RandomizedHypothesis")
-        self.atoms = [(h, float(w)) for (h, _), w in zip(pairs, weights)]
+        self.weights = _normalized(w[keep], "RandomizedHypothesis")
+        self.labels = labels[keep]
+        self.ids = keep if ids is None else np.asarray(ids)[keep]
         self._pred_mean = None
-
-    @classmethod
-    def single(cls, h: Hypothesis) -> "RandomizedHypothesis":
-        return cls([(h, 1.0)])
 
     @classmethod
     def from_weights(cls, hypotheses: Sequence[Hypothesis],
                      weights: Sequence[float]) -> "RandomizedHypothesis":
-        """Mixture from a weight vector; zero-weight atoms are dropped."""
+        """Mixture from a weight vector over these hypotheses."""
         if len(hypotheses) != len(weights):
             raise ValueError("weights length must match hypotheses")
-        pairs = [(h, float(w)) for h, w in zip(hypotheses, weights) if w > 0.0]
-        return cls(pairs)
+        return cls(np.array([h.labels for h in hypotheses]), weights,
+                   [h.id for h in hypotheses])
 
     def prediction_mean(self) -> np.ndarray:
         """Per-point probability of predicting label 1.
@@ -278,9 +291,7 @@ class RandomizedHypothesis:
         (not the pairwise one ``sum`` would take).
         """
         if self._pred_mean is None:
-            weights = np.array([w for _, w in self.atoms])
-            labels = np.array([h.labels for h, _ in self.atoms])
-            terms = weights[:, None] * labels
+            terms = self.weights[:, None] * self.labels
             self._pred_mean = np.add.accumulate(terms, axis=0)[-1].copy()
         return self._pred_mean
 
@@ -289,9 +300,6 @@ class RandomizedHypothesis:
         if not 0 <= z.point < len(pm):
             raise DomainMismatchError(f"point {z.point} outside domain")
         return _label_loss(float(pm[z.point]), z.label)
-
-    def total_weight(self) -> float:
-        return float(sum(w for _, w in self.atoms))
 
 
 class SampleLedger:
@@ -509,3 +517,16 @@ def brute_force_vc(hclass: HypothesisClass, n: int) -> int:
             break
         best = m
     return best
+
+
+def vc_dimension(hclass: HypothesisClass) -> int:
+    """Exact VC dimension: closed forms for the structured families (whose
+    tag is trusted to name the matrix ``from_family`` builds), brute force
+    for explicit classes.  Thresholds shatter one point, intervals two (one
+    at n = 1), singletons one (none at n = 1, where the class is one row).
+    """
+    n = hclass.domain_size
+    closed = {"thresholds": 1, "intervals": min(n, 2), "singletons": min(n - 1, 1)}
+    if hclass.family_tag in closed:
+        return closed[hclass.family_tag]
+    return brute_force_vc(hclass, n)

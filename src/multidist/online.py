@@ -19,7 +19,7 @@ the normalized vector at once when no coordinate exceeds the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -284,33 +284,3 @@ def payoff_regret_of(actions: Sequence[SimplexWeights | Sequence[float]],
     pmat = _cost_matrix(payoffs, acts.shape[1])
     realized = float((acts * pmat).sum())
     return _best_fixed(pmat.sum(axis=0), cap, maximize=True) - realized
-
-
-@dataclass
-class RegretLedger:
-    """Running totals from which regret is recomputable at any point."""
-
-    d: int
-    cap: float | None = None
-    totals: np.ndarray = field(init=False)
-    realized: float = field(init=False, default=0.0)
-    rounds: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        self.totals = np.zeros(self.d, dtype=np.float64)
-
-    def record(self, action: SimplexWeights | Sequence[float],
-               values: CostVector | Sequence[float]) -> None:
-        a = action.w if isinstance(action, SimplexWeights) else np.asarray(action, dtype=np.float64)
-        v = _cost_values(values, self.d)
-        if a.shape != (self.d,):
-            raise ValueError("action dimension mismatch")
-        self.realized += float(a @ v)
-        self.totals += v
-        self.rounds += 1
-
-    def cost_regret(self) -> float:
-        return self.realized - _best_fixed(self.totals, self.cap, maximize=False)
-
-    def payoff_regret(self) -> float:
-        return _best_fixed(self.totals, self.cap, maximize=True) - self.realized

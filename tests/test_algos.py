@@ -101,8 +101,7 @@ class TestRunFinite:
         d = FiniteDistribution([(0, 1, 1.0)])
         inst = MdlInstance(1, [d], HypothesisClass([[1]]))
         rep = run_finite(inst, 0.3, 0.3, seed=0)
-        assert len(rep.hypothesis.atoms) == 1
-        assert rep.hypothesis.atoms[0][0].id == 0
+        assert rep.hypothesis.ids.tolist() == [0]
 
     def test_ledger_equals_rounds(self):
         inst = suite_instance(2)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from multidist import algos, cli, evaluate
+from multidist import cli, evaluate, model
 from multidist.algos import RunReport
 from multidist.evaluate import InstanceSpec, brute_force_opt, generate
 from multidist.model import (
@@ -51,6 +51,11 @@ class TestGen:
         assert len(calls) == 1
         printed = capsys.readouterr().out
         assert f"OPT={brute_force_opt(MdlInstance.load(str(out))).opt_value!r}" in printed
+
+    def test_structured_class_vc_past_the_guard(self, tmp_path, capsys):
+        assert run_cli("gen", "--family", "shared_bayes", "--class-family", "intervals",
+                       "--n", "60", "--seed", "2", "--out", str(tmp_path / "i.json")) == 0
+        assert "VC=2\n" in capsys.readouterr().out
 
     def test_invalid_k_message_and_exit(self, tmp_path, capsys):
         code = run_cli("gen", "--family", "random", "--k", "0",
@@ -111,6 +116,26 @@ class TestSolve:
                        "--out", str(tmp_path / "r.json"))
         assert code == 3
 
+    @pytest.mark.parametrize("algo", cli.ALGORITHMS)
+    def test_structured_class_past_the_vc_guard(self, algo, tmp_path):
+        out, row = tmp_path / "r.json", tmp_path / "r.csv"
+        assert run_cli("solve", "--algo", algo, "--class-family", "intervals",
+                       "--n", "60", "--no-trace", "--out", str(out),
+                       "--csv", str(row)) == 0
+        assert json.loads(out.read_text())["config"].get("vc_dim", 2) == 2
+        assert next(csv.DictReader(row.open()))["vc_dim"] == "2"
+
+    def test_loss_matrix_guard_trips_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started before the optimum's guard")
+
+        monkeypatch.setattr(cli, "run_finite", never)
+        code = run_cli("solve", "--algo", "finite", "--family", "random", "--n", "20",
+                       "--k", "64", "--class-size", "50000",
+                       "--out", str(tmp_path / "r.json"))
+        assert code == 3
+        assert "loss matrix would need" in capsys.readouterr().err
+
     def test_io_error_exit_code(self, tmp_path):
         code = run_cli("solve", "--algo", "fast", "--family", "random",
                        "--out", str(tmp_path / "missing" / "r.json"))
@@ -164,9 +189,7 @@ class TestSweep:
 
     def test_one_vc_computation_per_cell(self, tmp_path, monkeypatch):
         calls = []
-        counting = _counted(cli.brute_force_vc, calls)
-        monkeypatch.setattr(cli, "brute_force_vc", counting)
-        monkeypatch.setattr(algos, "brute_force_vc", counting)
+        monkeypatch.setattr(model, "brute_force_vc", _counted(model.brute_force_vc, calls))
         assert run_cli("sweep", "--algo", "fast", "--family", "random", "--n", "6",
                        "--k", "3", "--seeds", "1", "--out", str(tmp_path / "s.csv")) == 0
         assert len(calls) == 1
@@ -261,7 +284,7 @@ def _evaluate(instance, weights, epsilon, alpha=0.0):
         instance.hypothesis_class.hypotheses, weights)
     report = RunReport(algorithm="fixed", seed=0, config={}, hypothesis=hypothesis,
                        ledger_per_oracle=[0] * instance.k, ledger_total=0, trace=[])
-    return cli._evaluate_run(instance, report, epsilon, alpha)
+    return cli._evaluate_run(instance, report, epsilon, alpha, brute_force_opt(instance))
 
 
 class TestEvaluateRun:

@@ -25,6 +25,7 @@ from multidist.model import (
     mixture_sample_many,
     oracle_sample,
     oracle_sample_many,
+    vc_dimension,
     zero_one_loss,
 )
 
@@ -57,7 +58,7 @@ class TestZeroOneLoss:
         # 1/4 weight on an erring hypothesis, 3/4 on a correct one -> 1/4.
         err = Hypothesis(np.array([0], dtype=np.uint8), 0)
         good = Hypothesis(np.array([1], dtype=np.uint8), 1)
-        mix = RandomizedHypothesis([(err, 0.25), (good, 0.75)])
+        mix = RandomizedHypothesis.from_weights([err, good], [0.25, 0.75])
         assert mix.expected_loss(LabeledExample(0, 1)) == pytest.approx(0.25, abs=1e-15)
 
 
@@ -276,6 +277,25 @@ class TestBruteForceVc:
             brute_force_vc(HypothesisClass.thresholds(30), 30)
 
 
+class TestVcDimension:
+    @pytest.mark.parametrize("family", ["thresholds", "intervals", "singletons"])
+    def test_closed_form_matches_brute_force(self, family):
+        for n in range(1, 21):
+            cls = HypothesisClass.from_family(family, n)
+            assert vc_dimension(cls) == brute_force_vc(cls, n), (family, n)
+
+    def test_structured_classes_past_the_brute_force_guard(self):
+        for family, vc in (("thresholds", 1), ("intervals", 2), ("singletons", 1)):
+            assert vc_dimension(HypothesisClass.from_family(family, 200)) == vc
+
+    def test_explicit_classes_use_brute_force(self):
+        vecs = [[(i >> j) & 1 for j in range(4)] for i in range(16)]
+        assert vc_dimension(HypothesisClass(vecs)) == 4
+        # the thresholds' rows, but an explicit class: brute force and its guard
+        with pytest.raises(GuardError):
+            vc_dimension(HypothesisClass(HypothesisClass.thresholds(30).matrix))
+
+
 class TestHypothesisClass:
     def test_deduplicates(self):
         cls = _class([0, 1], [0, 1], [1, 1])
@@ -324,13 +344,25 @@ class TestRandomizedHypothesis:
     def test_weights_normalized(self):
         h0 = Hypothesis(np.array([0], dtype=np.uint8), 0)
         with pytest.raises(ValueError):
-            RandomizedHypothesis([(h0, 0.4), (h0, 0.4)])
+            RandomizedHypothesis.from_weights([h0, h0], [0.4, 0.4])
 
     def test_zero_weights_dropped(self):
         cls = _class([0], [1])
         mix = RandomizedHypothesis.from_weights(cls.hypotheses, [0.0, 1.0])
-        assert len(mix.atoms) == 1
-        assert mix.total_weight() == pytest.approx(1.0, abs=1e-12)
+        assert mix.ids.tolist() == [1] and mix.labels.tolist() == [[1]]
+        assert mix.weights.tolist() == [1.0]
+
+    def test_ids_default_to_rows_and_follow_given_ids(self):
+        matrix = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+        mix = RandomizedHypothesis(matrix, [0.5, 0.0, 0.5])
+        assert mix.ids.tolist() == [0, 2]
+        assert np.array_equal(mix.labels, matrix[[0, 2]])
+        assert RandomizedHypothesis(matrix, [0.0, 1.0, 0.0], [7, 8, 9]).ids.tolist() == [8]
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [-1.0, 0.0], [1.0]])
+    def test_rejects_empty_or_mismatched_weights(self, weights):
+        with pytest.raises(ValueError):
+            RandomizedHypothesis(np.eye(2, dtype=np.uint8), weights)
 
 
 class TestSerialization:
@@ -379,7 +411,7 @@ class TestPredictionMean:
     def test_equals_sequential_loop_bitwise(self, hclass, data):
         m = data.draw(st.integers(1, len(hclass)))
         raw = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=m, max_size=m)))
-        self._check(RandomizedHypothesis(zip(hclass.hypotheses[:m], raw / raw.sum())))
+        self._check(RandomizedHypothesis(hclass.matrix[:m], raw / raw.sum()))
 
     def test_equals_sequential_loop_on_wide_mixtures(self):
         rng = make_rng(31)
@@ -391,7 +423,7 @@ class TestPredictionMean:
 
     @staticmethod
     def _check(mix):
-        loop = np.zeros(len(mix.atoms[0][0].labels))
-        for h, w in mix.atoms:
-            loop += w * h.labels
+        loop = np.zeros(mix.labels.shape[1])
+        for labels, w in zip(mix.labels, mix.weights.tolist()):
+            loop += w * labels
         assert mix.prediction_mean().tobytes() == loop.tobytes()

@@ -13,7 +13,6 @@ from helpers import simplex_vectors
 import multidist.online
 from multidist.online import (
     CostVector,
-    RegretLedger,
     SimplexWeights,
     _check_simplex,
     exp3_step,
@@ -332,21 +331,6 @@ class TestRegret:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             regret_of([np.array([1.0])], [])
-
-    def test_ledger_matches_batch_computation(self):
-        rng = np.random.default_rng(306)
-        ledger = RegretLedger(4, cap=0.5)
-        actions, costs = [], []
-        for _ in range(30):
-            a = rng.dirichlet(np.ones(4))
-            c = rng.random(4)
-            ledger.record(a, c)
-            actions.append(a)
-            costs.append(c)
-        assert ledger.cost_regret() == pytest.approx(
-            regret_of(actions, costs, cap=0.5), abs=1e-10)
-        assert ledger.payoff_regret() == pytest.approx(
-            payoff_regret_of(actions, costs, cap=0.5), abs=1e-10)
 
 
 class TestCostVector:
