@@ -94,15 +94,16 @@ _PAIR_BLOCK = 4096
 
 
 def resolve_constants(overrides: dict[str, float] | None) -> dict[str, float]:
+    """The defaults with `overrides` applied: the one check of constants.
+    Keys must be known and values positive and finite (NaN fails)."""
     out = dict(DEFAULT_CONSTANTS)
-    if overrides:
-        unknown = set(overrides) - set(DEFAULT_CONSTANTS)
-        if unknown:
-            raise ValueError(f"unknown constants: {sorted(unknown)}")
-        for key, val in overrides.items():
-            if float(val) <= 0:
-                raise ValueError(f"constant {key} must be positive")
-            out[key] = float(val)
+    for key, val in (overrides or {}).items():
+        if key not in DEFAULT_CONSTANTS:
+            raise ValueError(f"unknown constant {key!r} "
+                             f"(known: {sorted(DEFAULT_CONSTANTS)})")
+        if not 0.0 < float(val) < math.inf:
+            raise ValueError(f"constant {key} must be positive and finite, got {val!r}")
+        out[key] = float(val)
     return out
 
 
@@ -378,11 +379,9 @@ def run_cover_then_finite(instance: MdlInstance, epsilon: float, delta: float,
     per_oracle = max(1, math.ceil(cons["C"] * d / epsilon))
     rng = make_rng(seed)
     ledger = SampleLedger(k)
-    points: set[int] = set()
-    for i in range(k):
-        pts, _ = oracle_sample_many(instance, i, per_oracle, rng, ledger)
-        points.update(int(p) for p in pts)
-    cover = projection_cover(instance.hypothesis_class, sorted(points))
+    points = [oracle_sample_many(instance, i, per_oracle, rng, ledger)[0]
+              for i in range(k)]
+    cover = projection_cover(instance.hypothesis_class, np.concatenate(points))
     trace: list[dict] = []
     mixture, meta = _finite_loop(instance, cover.subclass, epsilon, delta,
                                  rng, ledger, cons["C"], record_trace, trace)
@@ -474,7 +473,7 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
 
     uniform = np.full(k, 1.0 / k)
     pts, _ = mixture_sample_many(instance, uniform, sched["N"], rng, ledger)
-    cover = projection_cover(instance.hypothesis_class, sorted(set(int(p) for p in pts)))
+    cover = projection_cover(instance.hypothesis_class, pts)
     sub = cover.subclass
     matrix = sub.matrix
     eta_learner = _clamp_rate(math.sqrt(math.log(max(len(sub), 2)) / sched["T"]))

@@ -19,8 +19,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from multidist.algos import (
-    DEFAULT_CONSTANTS,
     RunReport,
+    resolve_constants,
     run_cover_then_finite,
     run_fast,
     run_finite,
@@ -67,16 +67,15 @@ def _fmt(value) -> str:
 
 
 def parse_constants(pairs: list[str] | None) -> dict[str, float]:
+    """The schedule constants with `--constants` pairs applied, checked by
+    ``resolve_constants`` before any cell does work."""
     out: dict[str, float] = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ValueError(f"--constants expects key=value, got {pair!r}")
         key, _, val = pair.partition("=")
-        if key not in DEFAULT_CONSTANTS:
-            raise ValueError(f"unknown constant {key!r} "
-                             f"(known: {sorted(DEFAULT_CONSTANTS)})")
         out[key] = float(val)
-    return out
+    return resolve_constants(out)
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
@@ -104,12 +103,12 @@ def _instance_from_task(task: dict) -> tuple[MdlInstance, OptResult | None]:
         class_family=task["class_family"]))
 
 
-def _argmin_stub(instance: MdlInstance, seed: int) -> RunReport:
-    """Diagnostic plant: returns the exact brute-force argmin, zero queries.
+def _argmin_stub(instance: MdlInstance, seed: int, opt: OptResult) -> RunReport:
+    """Diagnostic plant: returns the cell's exact brute-force argmin, zero
+    queries.
 
     Useful for validating the audit path itself (its failure rate must be 0).
     """
-    opt = brute_force_opt(instance)
     row = instance.hypothesis_class.matrix[[opt.argmin_id]]
     return RunReport(algorithm="argmin_stub", seed=seed,
                      config={"argmin_id": opt.argmin_id},
@@ -119,8 +118,9 @@ def _argmin_stub(instance: MdlInstance, seed: int) -> RunReport:
 
 
 def _run_algorithm(algo: str, instance: MdlInstance, task: dict,
-                   vc_dim: int | None) -> RunReport:
-    """Run one algorithm; a `vc_dim` of None lets it compute the VC itself."""
+                   vc_dim: int | None, opt: OptResult) -> RunReport:
+    """Run one algorithm; a `vc_dim` of None lets it compute the VC itself.
+    Only `argmin_stub` reads the cell's exact optimum `opt`."""
     epsilon, delta, alpha = task["epsilon"], task["delta"], task["alpha"]
     seed, constants = task["run_seed"], task["constants"]
     trace = task.get("trace", True)
@@ -141,7 +141,7 @@ def _run_algorithm(algo: str, instance: MdlInstance, task: dict,
                                 constants=constants, estimator=task["estimator"],
                                 vc_dim=vc_dim, record_trace=trace)
     if algo == "argmin_stub":
-        return _argmin_stub(instance, seed)
+        return _argmin_stub(instance, seed, opt)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -199,7 +199,7 @@ def _run_cell(task: dict, row: dict | None) -> tuple[RunReport, dict]:
         vc_dim = _vc_or_none(instance)
         row.update(n=instance.domain_size, k=instance.k,
                    class_size=len(instance.hypothesis_class), vc_dim=vc_dim)
-    report = _run_algorithm(task["algo"], instance, task, vc_dim)
+    report = _run_algorithm(task["algo"], instance, task, vc_dim, opt)
     ev = _evaluate_run(instance, report, task["epsilon"], task["alpha"], opt)
     if row is not None:
         row.update(
@@ -296,9 +296,6 @@ def _base_task(args, algo: str | None = None) -> dict:
 
 
 def cmd_gen(args) -> int:
-    if args.k < 1:
-        print("k must be ≥ 1", file=sys.stderr)
-        return 2
     spec = InstanceSpec(family=args.family, n=args.n, k=args.k,
                         class_size=args.class_size, seed=args.seed,
                         class_family=args.class_family)

@@ -144,7 +144,7 @@ def _with_member(hclass: HypothesisClass, member: np.ndarray) -> tuple[Hypothesi
     hits = np.flatnonzero((hclass.matrix == member).all(axis=1))
     if len(hits):
         return hclass, int(hits[0])
-    return HypothesisClass(np.vstack([member, hclass.matrix]), "explicit"), 0
+    return HypothesisClass(np.vstack([member, hclass.matrix])), 0
 
 
 def _support_points(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -155,13 +155,15 @@ class HypothesisClass:
     scans, coverings, and the brute-force optimum all enumerate the same
     explicit rows.  The per-row :class:`Hypothesis` objects are built only
     when ``hypotheses`` is first read; the algorithms never read it.
+
+    A class is tagged ``explicit`` unless a structured-family builder
+    (``thresholds``, ``intervals``, ``singletons``) made it, so a tag always
+    names the rows the class holds.
     """
 
     __slots__ = ("matrix", "family_tag", "_hypotheses")
 
-    def __init__(self, label_vectors: Iterable[Sequence[int]], family_tag: str = "explicit"):
-        if family_tag not in CLASS_FAMILIES:
-            raise ValueError(f"unknown family {family_tag!r}")
+    def __init__(self, label_vectors: Iterable[Sequence[int]]):
         rows = label_vectors if isinstance(label_vectors, np.ndarray) else list(label_vectors)
         if len(rows) == 0:
             raise ValueError("hypothesis class must be nonempty")
@@ -175,8 +177,17 @@ class HypothesisClass:
             raise ValueError("hypothesis labels must be in {0, 1}")
         labels = labels.astype(np.uint8, copy=False)
         self.matrix = labels[first_distinct_rows(labels)]
-        self.family_tag = family_tag
+        self.family_tag = "explicit"
         self._hypotheses: list[Hypothesis] | None = None
+
+    @classmethod
+    def _tagged(cls, label_vectors: Iterable[Sequence[int]],
+                family: str) -> "HypothesisClass":
+        """The class of these rows, tagged as the structured `family` they
+        are; for the family builders only."""
+        out = cls(label_vectors)
+        out.family_tag = family
+        return out
 
     @property
     def hypotheses(self) -> list[Hypothesis]:
@@ -198,19 +209,19 @@ class HypothesisClass:
     @classmethod
     def thresholds(cls, n: int) -> "HypothesisClass":
         """All step labelings 1[x >= t], t = 0..n."""
-        return cls(np.arange(n) >= np.arange(n + 1)[:, None], "thresholds")
+        return cls._tagged(np.arange(n) >= np.arange(n + 1)[:, None], "thresholds")
 
     @classmethod
     def intervals(cls, n: int) -> "HypothesisClass":
         """All labelings 1[a <= x < b] including the empty interval."""
         a, b = np.triu_indices(n + 1)
         x = np.arange(n)
-        return cls((a[:, None] <= x) & (x < b[:, None]), "intervals")
+        return cls._tagged((a[:, None] <= x) & (x < b[:, None]), "intervals")
 
     @classmethod
     def singletons(cls, n: int) -> "HypothesisClass":
         """One indicator hypothesis per domain point."""
-        return cls(np.eye(n, dtype=np.uint8), "singletons")
+        return cls._tagged(np.eye(n, dtype=np.uint8), "singletons")
 
     @classmethod
     def from_family(cls, family: str, n: int,
@@ -218,7 +229,7 @@ class HypothesisClass:
         if family == "explicit":
             if vectors is None:
                 raise ValueError("explicit family needs label vectors")
-            return cls(vectors, "explicit")
+            return cls(vectors)
         if family == "thresholds":
             return cls.thresholds(n)
         if family == "intervals":
@@ -521,9 +532,9 @@ def brute_force_vc(hclass: HypothesisClass, n: int) -> int:
 
 def vc_dimension(hclass: HypothesisClass) -> int:
     """Exact VC dimension: closed forms for the structured families (whose
-    tag is trusted to name the matrix ``from_family`` builds), brute force
-    for explicit classes.  Thresholds shatter one point, intervals two (one
-    at n = 1), singletons one (none at n = 1, where the class is one row).
+    tag only their builders set), brute force for explicit classes.
+    Thresholds shatter one point, intervals two (one at n = 1), singletons
+    one (none at n = 1, where the class is one row).
     """
     n = hclass.domain_size
     closed = {"thresholds": 1, "intervals": min(n, 2), "singletons": min(n - 1, 1)}

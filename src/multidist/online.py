@@ -45,6 +45,13 @@ def _check_simplex(w: np.ndarray, cap: float | None) -> tuple[float, float]:
     return low, total
 
 
+def _check_cap(cap: float, d: int) -> None:
+    """Raise unless the capped simplex {w : w_i <= cap} in dimension d is
+    nonempty (within SUM_TOL); written so that a NaN cap fails it."""
+    if not (cap > 0 and cap * d >= 1.0 - SUM_TOL):
+        raise ValueError(f"infeasible cap {cap} in dimension {d}")
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexWeights:
     """Probability vector, optionally constrained to max weight <= cap."""
@@ -57,9 +64,8 @@ class SimplexWeights:
         object.__setattr__(self, "w", w)
         if w.ndim != 1 or len(w) < 1:
             raise ValueError("weights must be a nonempty vector")
-        if self.cap is not None and (self.cap <= 0
-                                     or self.cap * len(w) < 1.0 - SUM_TOL):
-            raise ValueError(f"infeasible cap {self.cap} in dimension {len(w)}")
+        if self.cap is not None:
+            _check_cap(self.cap, len(w))
         _check_simplex(w, self.cap)
 
     def __len__(self) -> int:
@@ -151,8 +157,7 @@ def project_capped(raw: Sequence[float], cap: float) -> SimplexWeights:
         raise ValueError("input must be nonnegative and finite")
     if float(v.sum()) <= 0:
         raise ValueError("input must not be all zero")
-    if cap <= 0 or cap * d < 1.0 - SUM_TOL:
-        raise ValueError(f"infeasible cap {cap} in dimension {d}")
+    _check_cap(cap, d)
     return SimplexWeights(_project_capped(v, cap), cap=cap)
 
 
@@ -225,8 +230,7 @@ def smooth_argmax(losses: Sequence[float], cap: float) -> tuple[float, np.ndarra
     k = len(v)
     if k < 1:
         raise ValueError("need at least one coordinate")
-    if cap <= 0 or cap * k < 1.0 - 1e-12:
-        raise ValueError(f"infeasible cap {cap} for dimension {k}")
+    _check_cap(cap, k)
     order = np.argsort(-v, kind="stable")
     weights = np.zeros(k, dtype=np.float64)
     remaining = 1.0
@@ -249,11 +253,10 @@ def _cost_matrix(costs: Sequence[CostVector | Sequence[float]], d: int) -> np.nd
     return np.vstack([_cost_values(c, d) for c in costs])
 
 
-def _best_fixed(totals: np.ndarray, cap: float | None, maximize: bool) -> float:
+def _best_fixed(totals: np.ndarray, cap: float | None) -> float:
+    """The least total cost of a fixed (possibly capped) comparator."""
     if cap is None:
-        return float(totals.max() if maximize else totals.min())
-    if maximize:
-        return smooth_argmax(totals, cap)[0]
+        return float(totals.min())
     value, _ = smooth_argmax(-totals, cap)
     return -value
 
@@ -269,18 +272,15 @@ def regret_of(actions: Sequence[SimplexWeights | Sequence[float]],
     acts = _action_matrix(actions)
     cmat = _cost_matrix(costs, acts.shape[1])
     realized = float((acts * cmat).sum())
-    return realized - _best_fixed(cmat.sum(axis=0), cap, maximize=False)
+    return realized - _best_fixed(cmat.sum(axis=0), cap)
 
 
 def payoff_regret_of(actions: Sequence[SimplexWeights | Sequence[float]],
                      payoffs: Sequence[CostVector | Sequence[float]],
                      cap: float | None = None) -> float:
-    """Best fixed comparator's payoff minus the realized payoff."""
+    """Best fixed comparator's payoff minus the realized payoff: the regret
+    of the negated payoffs as costs (negation is exact, so no bit changes)."""
     if len(actions) != len(payoffs):
         raise ValueError("actions and payoffs must have equal length")
-    if not actions:
-        return 0.0
-    acts = _action_matrix(actions)
-    pmat = _cost_matrix(payoffs, acts.shape[1])
-    realized = float((acts * pmat).sum())
-    return _best_fixed(pmat.sum(axis=0), cap, maximize=True) - realized
+    return regret_of(actions, [-_cost_values(p, len(a))
+                               for a, p in zip(actions, payoffs)], cap)

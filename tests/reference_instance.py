@@ -54,8 +54,9 @@ def reference_family_vectors(family: str, n: int) -> list[list[int]]:
 
 
 def _reference_class(vectors, family: str = "explicit") -> HypothesisClass:
-    # the matrix is already deduplicated, so the constructor keeps it as is
-    return HypothesisClass(reference_class_matrix(vectors), family)
+    # the matrix is already deduplicated, so the constructor keeps it as is;
+    # a family tag goes on through the builders' own path
+    return HypothesisClass._tagged(reference_class_matrix(vectors), family)
 
 
 def reference_random_class(spec: InstanceSpec, rng: np.random.Generator) -> HypothesisClass:

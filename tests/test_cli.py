@@ -154,10 +154,37 @@ class TestSolve:
         assert "hypothesis labels must be in {0, 1}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_bad_constant_exit_code(self, tmp_path):
+    def test_bad_constant_exit_code(self, tmp_path, capsys):
         code = run_cli("solve", "--algo", "fast", "--family", "random",
                        "--constants", "Cbogus=2", "--out", str(tmp_path / "r.json"))
         assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown constant 'Cbogus'" in err and "'Ceval'" in err
+
+    def test_argmin_stub_reuses_the_cell_opt(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluate, "loss_matrix", _counted(evaluate.loss_matrix, calls))
+        assert run_cli("solve", "--algo", "argmin_stub", "--family", "random",
+                       "--seed", "3", "--out", str(tmp_path / "r.json")) == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pair", ["C=inf", "Cprime=inf", "C1=inf", "C=nan", "C=0", "C=-1"])
+@pytest.mark.parametrize("command, algo", [("solve", "mid"), ("solve", "fast"),
+                                           ("solve", "argmin_stub"), ("sweep", "mid")])
+def test_bad_constant_rejected_before_generation(command, algo, pair, tmp_path,
+                                                 monkeypatch, capsys):
+    def generate_with_opt(spec):
+        pytest.fail("instance generated before the constants were checked")
+
+    monkeypatch.setattr(cli, "generate_with_opt", generate_with_opt)
+    out = tmp_path / "out"
+    code = run_cli(command, "--algo", algo, "--family", "random",
+                   "--constants", pair, "--out", str(out))
+    assert code == 2
+    key = pair.split("=")[0]
+    assert f"constant {key} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSweep:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import distributions, hypothesis_classes
-from multidist.evaluate import GENERATOR_FAMILIES, InstanceSpec, generate
+from multidist.cover import projection_cover
+from multidist.evaluate import GENERATOR_FAMILIES, InstanceSpec, _with_member, generate
 from multidist.model import (
     DomainMismatchError,
     FiniteDistribution,
@@ -338,6 +339,47 @@ class TestHypothesisClass:
         cls = HypothesisClass(rows)
         rows[0, 0] = 1
         assert cls.matrix[0, 0] == 0
+
+
+class TestFamilyTag:
+    """A structured family's tag comes only from its builder, so the tag
+    always names the rows the class holds."""
+
+    def test_constructor_takes_no_tag(self):
+        # a one-row class tagged "intervals" used to report VC 2 and reload
+        # from its file as the 7-row interval class
+        with pytest.raises(TypeError):
+            HypothesisClass([[0, 0, 0]], "intervals")
+        assert HypothesisClass([[0, 0, 0]]).family_tag == "explicit"
+
+    @pytest.mark.parametrize("family", ["thresholds", "intervals", "singletons"])
+    def test_builders_tag_their_classes(self, family):
+        assert getattr(HypothesisClass, family)(5).family_tag == family
+        assert HypothesisClass.from_family(family, 5).family_tag == family
+        assert HypothesisClass.from_family("explicit", 2, [[0, 1]]).family_tag == "explicit"
+
+    @staticmethod
+    def _round_trip(hclass: HypothesisClass) -> HypothesisClass:
+        n = hclass.domain_size
+        inst = MdlInstance(n, [FiniteDistribution([(n - 1, 1, 1.0)])], hclass)
+        return MdlInstance.from_dict(inst.to_dict()).hypothesis_class
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_round_trip_keeps_every_matrix(self, n):
+        built = [HypothesisClass.from_family(f, n) for f in ("thresholds", "intervals",
+                                                              "singletons")]
+        absent = np.ones(n, dtype=np.uint8)
+        absent[0] = 0
+        # _with_member prepends a row a structured class lacks, so the
+        # result must be (and is tagged) explicit
+        built += [_with_member(HypothesisClass.singletons(n), absent)[0],
+                  _with_member(HypothesisClass.thresholds(n), absent)[0],
+                  projection_cover(HypothesisClass.intervals(n), [0, n - 1]).subclass]
+        for hclass in built:
+            again = self._round_trip(hclass)
+            assert np.array_equal(again.matrix, hclass.matrix)
+            assert again.family_tag == hclass.family_tag
+            assert vc_dimension(again) == brute_force_vc(hclass, n)
 
 
 class TestRandomizedHypothesis:

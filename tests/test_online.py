@@ -21,6 +21,7 @@ from multidist.online import (
     payoff_regret_of,
     project_capped,
     regret_of,
+    smooth_argmax,
 )
 
 
@@ -377,6 +378,34 @@ class TestStochasticApproximation:
         small = np.mean([gap(128, 1000 + s) for s in range(200)])
         large = np.mean([gap(512, 2000 + s) for s in range(200)])
         assert large / small <= 2.5
+
+
+class TestOneCapRule:
+    """SimplexWeights, project_capped and smooth_argmax accept and reject the
+    same (cap, d) pairs, with one message."""
+
+    D = 4
+    EDGE = (1.0 - 1e-12) / 4  # dividing by 4 is exact: cap * d == 1 - 1e-12
+
+    @staticmethod
+    def _uses(cap, d):
+        return [lambda: SimplexWeights.uniform(d, cap),
+                lambda: project_capped(np.ones(d), cap),
+                lambda: project_capped(np.arange(d, dtype=np.float64), cap),
+                lambda: smooth_argmax(np.arange(d, dtype=np.float64), cap)]
+
+    @pytest.mark.parametrize("cap", [EDGE, float(np.nextafter(EDGE, 1.0)), 0.5, 1.0])
+    def test_feasible_caps_accepted_everywhere(self, cap):
+        for use in self._uses(cap, self.D):
+            use()
+
+    @pytest.mark.parametrize("cap", [float(np.nextafter(EDGE, 0.0)), 0.0, -0.25,
+                                     float("nan")])
+    def test_infeasible_caps_rejected_everywhere(self, cap):
+        for use in self._uses(cap, self.D):
+            with pytest.raises(ValueError) as err:
+                use()
+            assert str(err.value) == f"infeasible cap {cap} in dimension {self.D}"
 
 
 def test_import_does_not_load_ground_truth_module():
