@@ -42,6 +42,7 @@ import numpy as np
 
 from multidist.cover import (
     SampleBatch,
+    ceil_budget,
     cover_sample_size,
     empirical_loss,
     erm,
@@ -206,8 +207,8 @@ def fast_params(epsilon: float, alpha: float, delta: float, k: int, d: int,
     clamped = epsilon > alpha
     eps = min(epsilon, alpha)
     T = max(1, math.ceil(math.log(k) / (eps * alpha)))
-    r1 = math.ceil(C1 * (d + math.log(T / delta)) / (eps * alpha))
-    r2 = math.ceil(C2 * math.log(k / delta) / (T * eps ** 2))
+    r1 = ceil_budget(C1 * (d + math.log(T / delta)) / (eps * alpha), "C1")
+    r2 = ceil_budget(C2 * math.log(k / delta) / (T * eps ** 2), "C2")
     return FastParams(epsilon=eps, alpha=alpha, delta=delta, k=k, d=d,
                       C1=C1, C2=C2, T=T, r1=r1, r2=r2, clamped=clamped)
 
@@ -270,8 +271,8 @@ def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
 
 def _finite_schedule(class_size: int, k: int, epsilon: float, delta: float,
                      C: float) -> tuple[int, float, float, float]:
-    T = max(1, math.ceil(C * (math.log(class_size) + k * math.log(k / delta))
-                         / epsilon ** 2))
+    T = max(1, ceil_budget(C * (math.log(class_size) + k * math.log(k / delta))
+                           / epsilon ** 2, "C"))
     eta_learner = _clamp_rate(math.sqrt(math.log(max(class_size, 2)) / T))
     exploration = min(1.0, math.sqrt(k * math.log(max(k, 2)) / T))
     eta_exp3 = max(exploration / k, _RATE_FLOOR)
@@ -376,7 +377,7 @@ def run_cover_then_finite(instance: MdlInstance, epsilon: float, delta: float,
         raise ValueError("epsilon and delta must be in (0, 1)")
     k = instance.k
     d = _resolve_vc(instance, vc_dim)
-    per_oracle = max(1, math.ceil(cons["C"] * d / epsilon))
+    per_oracle = max(1, ceil_budget(cons["C"] * d / epsilon, "C"))
     rng = make_rng(seed)
     ledger = SampleLedger(k)
     points = [oracle_sample_many(instance, i, per_oracle, rng, ledger)[0]
@@ -432,10 +433,10 @@ def mid_adversary_estimate(weights: SimplexWeights | Sequence[float], chosen: in
 
 def _mid_schedule(epsilon: float, delta: float, k: int, d: int,
                   cons: dict[str, float]) -> dict:
-    term1 = math.ceil(cons["Cprime"] * math.log(k / delta) / epsilon ** 2)
+    term1 = ceil_budget(cons["Cprime"] * math.log(k / delta) / epsilon ** 2, "Cprime")
     if d >= 1:
         inner = d * k * math.log(d / (epsilon * delta)) / epsilon
-        term2 = math.ceil(cons["C"] * d * math.log(inner) / epsilon ** 2)
+        term2 = ceil_budget(cons["C"] * d * math.log(inner) / epsilon ** 2, "C")
     else:
         term2 = 0
     T = max(1, term1, term2)
@@ -553,7 +554,7 @@ def personalized_eval_size(epsilon: float, delta: float, k: int,
                            Ceval: float = 4.0) -> int:
     # k * ln(k) degenerates to 0 at k = 1; floor the log argument at 1/delta.
     inside = max(k * math.log(k), 1.0) / delta
-    return math.ceil(Ceval * math.log(inside) / epsilon ** 2)
+    return ceil_budget(Ceval * math.log(inside) / epsilon ** 2, "Ceval")
 
 
 def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: int,

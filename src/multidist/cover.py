@@ -92,10 +92,21 @@ def projection_cover(hclass: HypothesisClass, points: Sequence[int]) -> CoverRes
                        behavior_count=len(reps), representative_ids=reps.tolist())
 
 
+def ceil_budget(value: float, constant: str) -> int:
+    """A schedule's count, rounded up; a ValueError naming the constant that
+    scales it when the count is not finite or does not fit the 64-bit
+    counts that numpy draws take."""
+    if not value < 2.0 ** 63:  # NaN fails too
+        raise ValueError(f"constant {constant} is too large: "
+                         f"the budget it scales is {value!r}")
+    return math.ceil(value)
+
+
 def cover_sample_size(d: int, epsilon: float, delta: float, C: float = 4.0) -> int:
     """Number of witness draws needed for an epsilon-net by projection."""
     if d < 1:
         raise ValueError("d must be ≥ 1")
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must be in (0, 1)")
-    return math.ceil(C * (d * math.log(d / epsilon) + math.log(1.0 / delta)) / epsilon)
+    return ceil_budget(C * (d * math.log(d / epsilon) + math.log(1.0 / delta)) / epsilon,
+                       "C")

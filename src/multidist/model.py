@@ -6,7 +6,8 @@ atoms, and hypothesis classes as explicit label matrices.  Sampling always
 goes through an oracle function that charges a :class:`SampleLedger`, so
 realized query budgets can be compared against predicted ones exactly.
 Every class is built from one 0/1 matrix; ``first_distinct_rows`` is the
-one row dedupe, for classes and for ``cover.projection_cover`` alike.
+one row dedupe, for classes and for ``cover.projection_cover`` alike.  It
+packs each row into bytes and sorts one opaque key per row.
 
 The private draws (``_draw``, ``_mixture_index``, ``_mixture_draw``) are
 what the dynamics loops call every round; the public oracles validate their
@@ -16,15 +17,18 @@ state as ``rng.random(1)``), so a loop may also draw them in blocks.
 ``_mixture_index`` repeats the arithmetic of ``rng.choice(k, p=p)``, so a
 loop that uses it draws the same oracles from the same generator state.
 Every atom, scalar or batched, is looked up by one inverse-CDF method,
-``FiniteDistribution.atom_index``.  The VC search tests shattering by
-counting the distinct label codes with ``np.bincount``.
+``FiniteDistribution.atom_index``.  The VC search is brute force over the
+subsets in ``itertools.combinations`` order; it keeps the label codes of
+each prefix of the current subset, so a subset costs one add, and tests
+shattering by counting the distinct codes with ``np.bincount``.  The
+versions these three kernels replaced (and the old distribution checks)
+are kept in ``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,7 +64,7 @@ def derive_seed(*parts: int) -> int:
 
 
 def _normalized(probs: np.ndarray, what: str) -> np.ndarray:
-    if np.any(probs < 0):
+    if probs.min() < 0:
         raise ValueError(f"{what}: negative probability")
     total = float(probs.sum())
     if abs(total - 1.0) > RENORM_TOL:
@@ -78,8 +82,23 @@ class LabeledExample:
             raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
+def _integers(values: np.ndarray, what: str) -> np.ndarray:
+    """The values as int64; a ValueError unless each one is an integer
+    (an integral float such as 1.0 is one, 0.7 is not)."""
+    if values.dtype.kind == "f":
+        if not ((np.abs(values) < 2.0 ** 63) & (values == np.trunc(values))).all():
+            raise ValueError(f"{what} must be integers")
+    elif values.dtype.kind not in "biu":
+        raise ValueError(f"{what} must be integers")
+    return values.astype(np.int64, copy=False)
+
+
 class FiniteDistribution:
-    """Probability mass over distinct (point, label) atoms."""
+    """Probability mass over distinct (point, label) atoms.
+
+    Points must be nonnegative integers and labels 0 or 1; an integral float
+    (1.0) counts as its integer, any other value is rejected, not rounded.
+    """
 
     __slots__ = ("points", "labels", "probs", "_cdf")
 
@@ -87,17 +106,18 @@ class FiniteDistribution:
         atoms = list(mass)
         if not atoms:
             raise ValueError("distribution needs at least one atom")
-        pts = np.array([a[0] for a in atoms], dtype=np.int64)
-        lbs = np.array([a[1] for a in atoms], dtype=np.int64)
+        pts = _integers(np.array([a[0] for a in atoms]), "domain points")
+        labels = [a[1] for a in atoms]
         pbs = np.array([a[2] for a in atoms], dtype=np.float64)
-        if np.any(pts < 0):
+        if pts.min() < 0:
             raise ValueError("negative domain point")
-        if not np.isin(lbs, (0, 1)).all():
+        # 0.0, 1.0, False and True hash and compare as 0 and 1; 0.7 does not
+        if not set(labels) <= {0, 1}:
             raise ValueError("labels must be in {0, 1}")
-        if len({(int(x), int(y)) for x, y in zip(pts, lbs)}) != len(atoms):
+        if len(set(zip(pts.tolist(), labels))) != len(atoms):
             raise ValueError("duplicate (point, label) atom")
         self.points = pts
-        self.labels = lbs
+        self.labels = np.array(labels, dtype=np.int64)
         self.probs = _normalized(pbs, "FiniteDistribution")
         # The last atom's upper edge is +inf rather than the rounded total, so
         # every uniform lands on an atom: the same atom a clamp to the last
@@ -142,8 +162,19 @@ class Hypothesis:
 
 
 def first_distinct_rows(matrix: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row, in row order."""
-    _, first = np.unique(matrix, axis=0, return_index=True)
+    """Indices of the first occurrence of each distinct row of a 0/1 matrix,
+    in row order.
+
+    Each row is packed eight labels to a byte and compared as one opaque
+    key, so the sort runs over one key per row, not over the row's labels.
+    Zero-width rows are all equal: the first one, if any, is kept.
+    """
+    if matrix.shape[1] == 0:
+        return np.arange(min(len(matrix), 1))
+    # packbits keeps the input's memory order; a key view needs C order
+    packed = np.ascontiguousarray(np.packbits(matrix, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
     return np.sort(first)
 
 
@@ -378,7 +409,7 @@ class MdlInstance:
     @classmethod
     def from_dict(cls, obj: dict) -> "MdlInstance":
         n = int(obj["domain_size"])
-        dists = [FiniteDistribution([(int(x), int(y), float(p)) for x, y, p in d])
+        dists = [FiniteDistribution([(x, y, p) for x, y, p in d])
                  for d in obj["distributions"]]
         cobj = obj["class"]
         hclass = HypothesisClass.from_family(
@@ -506,25 +537,48 @@ def mixture_sample_many(instance: MdlInstance, weights: Sequence[float], count: 
     return points, labels
 
 
+def _shatters_some(cols: np.ndarray, m: int) -> bool:
+    """Whether some m-subset of the domain is shattered, trying the subsets
+    in ``itertools.combinations`` order and stopping at the first shattered
+    one.  ``cols[j]`` holds every hypothesis's label at point j.
+
+    A subset is shattered iff its label codes (one bit per point of the
+    subset) take all 2^m values.  ``doubled[d]`` holds twice the codes of
+    the current subset's first d points, so a subset's codes are one add,
+    ``doubled[m - 1] + cols[last point]``; moving to the next subset
+    recomputes only the prefixes from the first point that changed.
+    """
+    n, size = cols.shape
+    full = 1 << m
+    subset = list(range(m))
+    doubled: list = [np.zeros(size, dtype=np.int64)] * m
+    depth = 1  # the first prefix whose codes are stale
+    while True:
+        for d in range(depth, m):
+            doubled[d] = (doubled[d - 1] + cols[subset[d - 1]]) << 1
+        codes = doubled[m - 1] + cols[subset[m - 1]]
+        if np.count_nonzero(np.bincount(codes, minlength=full)) == full:
+            return True
+        last = m - 1
+        while last >= 0 and subset[last] == n - m + last:
+            last -= 1
+        if last < 0:
+            return False
+        subset[last] += 1
+        for d in range(last + 1, m):
+            subset[d] = subset[d - 1] + 1
+        depth = last + 1
+
+
 def brute_force_vc(hclass: HypothesisClass, n: int) -> int:
     """Exact VC dimension by subset enumeration (guarded to small inputs)."""
     if n > VC_MAX_DOMAIN or len(hclass) > VC_MAX_CLASS:
         raise GuardError(
             f"VC guard: need n <= {VC_MAX_DOMAIN} and |class| <= {VC_MAX_CLASS}")
-    matrix = hclass.matrix.astype(np.int64)
+    cols = np.ascontiguousarray(hclass.matrix[:, :n].T, dtype=np.int64)
     best = 0
     for m in range(1, n + 1):
-        if len(hclass) < (1 << m):
-            break
-        weights = 1 << np.arange(m, dtype=np.int64)
-        shattered = False
-        for subset in combinations(range(n), m):
-            # the subset is shattered iff all 2^m label codes occur
-            codes = matrix[:, subset] @ weights
-            if np.count_nonzero(np.bincount(codes, minlength=1 << m)) == (1 << m):
-                shattered = True
-                break
-        if not shattered:
+        if len(hclass) < (1 << m) or not _shatters_some(cols, m):
             break
         best = m
     return best

@@ -1,0 +1,75 @@
+"""The exact integer kernels of ``multidist.model`` as they were before their
+fast versions, kept as test oracles.
+
+- ``reference_first_distinct_rows``: ``np.unique`` over whole rows
+  (``axis=0``), which sorts the rows as opaque records, label by label.
+- ``reference_brute_force_vc``: every m-subset's label codes computed from
+  scratch, a gather of the subset's columns and an integer matmul, then the
+  same ``bincount`` leaf test.
+- ``reference_distribution_arrays``: the checks of the old
+  ``FiniteDistribution`` constructor, ``np.isin`` for the labels and a set
+  of numpy scalars for the duplicates; it returns the points, labels and
+  unnormalized masses the constructor kept.  Its int64 casts truncate a
+  non-integral point or label, which the constructor now rejects, so it is
+  an oracle only for integer input.
+
+The fast kernels must give the same indices, the same VC dimension, and the
+same accept/reject outcome and message.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Iterable
+
+import numpy as np
+
+from multidist.model import VC_MAX_CLASS, VC_MAX_DOMAIN, GuardError, HypothesisClass
+
+
+def reference_first_distinct_rows(matrix: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row, in row order."""
+    _, first = np.unique(matrix, axis=0, return_index=True)
+    return np.sort(first)
+
+
+def reference_brute_force_vc(hclass: HypothesisClass, n: int) -> int:
+    """Exact VC dimension by subset enumeration (guarded to small inputs)."""
+    if n > VC_MAX_DOMAIN or len(hclass) > VC_MAX_CLASS:
+        raise GuardError(
+            f"VC guard: need n <= {VC_MAX_DOMAIN} and |class| <= {VC_MAX_CLASS}")
+    matrix = hclass.matrix.astype(np.int64)
+    best = 0
+    for m in range(1, n + 1):
+        if len(hclass) < (1 << m):
+            break
+        weights = 1 << np.arange(m, dtype=np.int64)
+        shattered = False
+        for subset in combinations(range(n), m):
+            # the subset is shattered iff all 2^m label codes occur
+            codes = matrix[:, subset] @ weights
+            if np.count_nonzero(np.bincount(codes, minlength=1 << m)) == (1 << m):
+                shattered = True
+                break
+        if not shattered:
+            break
+        best = m
+    return best
+
+
+def reference_distribution_arrays(
+        mass: Iterable[tuple[int, int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The old constructor's checks, in its order and with its messages."""
+    atoms = list(mass)
+    if not atoms:
+        raise ValueError("distribution needs at least one atom")
+    pts = np.array([a[0] for a in atoms], dtype=np.int64)
+    lbs = np.array([a[1] for a in atoms], dtype=np.int64)
+    pbs = np.array([a[2] for a in atoms], dtype=np.float64)
+    if np.any(pts < 0):
+        raise ValueError("negative domain point")
+    if not np.isin(lbs, (0, 1)).all():
+        raise ValueError("labels must be in {0, 1}")
+    if len({(int(x), int(y)) for x, y in zip(pts, lbs)}) != len(atoms):
+        raise ValueError("duplicate (point, label) atom")
+    return pts, lbs, pbs

@@ -1,6 +1,8 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md names, then logs
-the line count of src/ that ROADMAP.md tracks."""
+"""The CI workflow runs a short benchmark correctness check on every
+workload, then the tier-1 command that ROADMAP.md names, then logs the line
+count of src/ that ROADMAP.md tracks."""
 
+import json
 import re
 from pathlib import Path
 
@@ -20,3 +22,18 @@ def test_workflow_runs_the_tier1_command():
                       (ROOT / "ROADMAP.md").read_text()).group(1)
     assert runs[-2] == tier1
     assert runs[-1] == "wc -l src/multidist/*.py"
+
+
+def test_workflow_checks_the_benchmark_before_tier1():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
+    runs = [step["run"] for step in workflow["jobs"]["tests"]["steps"] if "run" in step]
+    smoke = [i for i, run in enumerate(runs) if "perfbench/run.py" in run]
+    assert len(smoke) == 1 and smoke[0] < len(runs) - 2
+    run = runs[smoke[0]]
+    assert "python -m pip install py-cpuinfo" in run.splitlines()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for workload in benchmark["workloads"]:
+        assert workload["name"] in run
+    assert "--seed 1 --seconds 2 --trace 0" in run
+    assert 'r["correct"] is True and r["failed"] == 0' in run

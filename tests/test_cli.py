@@ -52,6 +52,18 @@ class TestGen:
         printed = capsys.readouterr().out
         assert f"OPT={brute_force_opt(MdlInstance.load(str(out))).opt_value!r}" in printed
 
+    def test_intervals_at_n_200(self, tmp_path, capsys):
+        # the structured-scale target: VC from the closed form, OPT, and a
+        # run of the cheaper algorithms at k = 64 (finite, cover_finite and
+        # personalized take seconds to tens of seconds here)
+        common = ["--family", "shared_bayes", "--class-family", "intervals",
+                  "--n", "200", "--k", "64"]
+        assert run_cli("gen", *common, "--out", str(tmp_path / "inst.json")) == 0
+        assert "VC=2" in capsys.readouterr().out.splitlines()
+        for algo in ("mid", "fast", "argmin_stub"):
+            assert run_cli("solve", "--algo", algo, *common, "--no-trace",
+                           "--out", str(tmp_path / f"{algo}.json")) == 0, algo
+
     def test_structured_class_vc_past_the_guard(self, tmp_path, capsys):
         assert run_cli("gen", "--family", "shared_bayes", "--class-family", "intervals",
                        "--n", "60", "--seed", "2", "--out", str(tmp_path / "i.json")) == 0
@@ -153,6 +165,48 @@ class TestSolve:
         assert code == 2
         assert "hypothesis labels must be in {0, 1}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        (1, 0.7, "labels must be in {0, 1}"),
+        (0, 1.5, "domain points must be integers"),
+        (1, 1.0, None),
+        (0, 1.0, None),
+    ])
+    def test_non_integral_atoms_exit_code(self, field, value, message, tmp_path, capsys):
+        # before the check, int() truncated 0.7 to 0 and 1.5 to 1, and the
+        # file loaded as another instance
+        inst = MdlInstance(2, [FiniteDistribution([(1, 1, 1.0)])],
+                           HypothesisClass([[0, 1], [1, 1]]))
+        obj = inst.to_dict()
+        obj["distributions"][0][0][field] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "r.json"
+        code = run_cli("solve", "--algo", "finite", "--instance", str(path),
+                       "--out", str(out))
+        if message is None:  # an integral float loads as its integer
+            assert code == 0
+            return
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e308", "1e200"])
+    @pytest.mark.parametrize("algo, key", [
+        ("mid", "C"), ("mid", "Cprime"), ("fast", "C1"), ("fast", "C2"),
+        ("finite", "C"), ("cover_finite", "C"), ("personalized", "C"),
+        ("personalized", "Ceval"),
+    ])
+    def test_huge_constant_exit_code(self, algo, key, value, tmp_path, capsys):
+        # finite constants whose schedule overflows to an infinite budget
+        # (1e308), or to one past the 64-bit counts numpy draws (1e200)
+        out = tmp_path / "r.json"
+        code = run_cli("solve", "--algo", algo, "--family", "random", "--n", "6",
+                       "--k", "2", "--class-size", "8", "--constants", f"{key}={value}",
+                       "--out", str(out))
+        assert code == 2
+        assert f"constant {key} is too large" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_constant_exit_code(self, tmp_path, capsys):
         code = run_cli("solve", "--algo", "fast", "--family", "random",
