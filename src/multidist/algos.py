@@ -34,7 +34,6 @@ the tests require identical reports.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -50,6 +49,7 @@ from multidist.cover import (
 )
 from multidist.model import (
     SUM_TOL,
+    GuardError,
     Hypothesis,
     HypothesisClass,
     LabeledExample,
@@ -66,7 +66,6 @@ from multidist.model import (
     mixture_sample_many,
     oracle_sample_many,
     vc_dimension,
-    zero_one_loss,
 )
 from multidist.online import (
     CostVector,
@@ -93,6 +92,10 @@ _RATE_CEIL = 0.5
 # (a k = 64, eps = 0.01 run has T near 15 million).
 _PAIR_BLOCK = 4096
 
+# A schedule of more queries (about 130 times the T of that k = 64 run) would
+# run for days or exhaust memory, so a run checks its budget before drawing.
+QUERY_GUARD = 2_000_000_000
+
 
 def resolve_constants(overrides: dict[str, float] | None) -> dict[str, float]:
     """The defaults with `overrides` applied: the one check of constants.
@@ -106,6 +109,11 @@ def resolve_constants(overrides: dict[str, float] | None) -> dict[str, float]:
             raise ValueError(f"constant {key} must be positive and finite, got {val!r}")
         out[key] = float(val)
     return out
+
+
+def _check_queries(total: int) -> None:
+    if total > QUERY_GUARD:
+        raise GuardError(f"query guard: {total} scheduled queries > {QUERY_GUARD}")
 
 
 def _clamp_rate(x: float) -> float:
@@ -132,9 +140,8 @@ class RunReport:
     ledger_total: int
     trace: list[dict]
     assignments: dict[int, RandomizedHypothesis] | None = None
-    wall_ms: float = 0.0
 
-    def to_dict(self, include_timing: bool = False, include_trace: bool = True) -> dict:
+    def to_dict(self, include_trace: bool = True) -> dict:
         out: dict = {
             "algorithm": self.algorithm,
             "seed": self.seed,
@@ -148,8 +155,6 @@ class RunReport:
         }
         if include_trace:
             out["trace"] = self.trace
-        if include_timing:
-            out["wall_ms"] = self.wall_ms
         return out
 
 
@@ -224,11 +229,11 @@ def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
     uniform mixture of the per-round minimizers.  Total queries are exactly
     T * (r1 + k * r2).
     """
-    t0 = time.perf_counter()
     cons = resolve_constants(constants)
     k = instance.k
     d = _resolve_vc(instance, vc_dim)
     params = fast_params(epsilon, alpha, delta, k, d, cons["C1"], cons["C2"])
+    _check_queries(params.predicted_budget)
     rng = make_rng(seed)
     ledger = SampleLedger(k)
     hclass = instance.hypothesis_class
@@ -261,8 +266,7 @@ def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
     return RunReport(
         algorithm="fast", seed=seed, config=config,
         hypothesis=RandomizedHypothesis(hclass.matrix, weights),
-        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
-        trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)
+        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +304,7 @@ def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
     class_size = len(hclass)
     T, eta_learner, eta_exp3, exploration = _finite_schedule(
         class_size, k, epsilon, delta, C)
+    _check_queries(ledger.total + T)
     # Plain arrays, as in the mid loop (see the module docstring).  The costs
     # of a drawn (point, label) and their Hedge factors are the same every
     # time it is drawn, so each is computed once.  Only drawn atoms get rows,
@@ -350,7 +355,6 @@ def run_finite(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     vector is the per-hypothesis loss on the drawn point, and the adversary
     banks the learner mixture's loss on it as payoff.  Total queries = T.
     """
-    t0 = time.perf_counter()
     cons = resolve_constants(constants)
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must be in (0, 1)")
@@ -362,8 +366,7 @@ def run_finite(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     config = {"epsilon": epsilon, "delta": delta, "constants": cons, **meta}
     return RunReport(
         algorithm="finite", seed=seed, config=config, hypothesis=mixture,
-        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
-        trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)
+        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total, trace=trace)
 
 
 def run_cover_then_finite(instance: MdlInstance, epsilon: float, delta: float,
@@ -371,13 +374,14 @@ def run_cover_then_finite(instance: MdlInstance, epsilon: float, delta: float,
                           vc_dim: int | None = None,
                           record_trace: bool = True) -> RunReport:
     """Offline projection cover per oracle, then the finite dynamics on it."""
-    t0 = time.perf_counter()
     cons = resolve_constants(constants)
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must be in (0, 1)")
     k = instance.k
     d = _resolve_vc(instance, vc_dim)
     per_oracle = max(1, ceil_budget(cons["C"] * d / epsilon, "C"))
+    # the finite loop's rounds depend on the cover, so it checks the total
+    _check_queries(k * per_oracle)
     rng = make_rng(seed)
     ledger = SampleLedger(k)
     points = [oracle_sample_many(instance, i, per_oracle, rng, ledger)[0]
@@ -391,8 +395,7 @@ def run_cover_then_finite(instance: MdlInstance, epsilon: float, delta: float,
               "cover_behaviors": cover.behavior_count, **meta}
     return RunReport(
         algorithm="cover_finite", seed=seed, config=config, hypothesis=mixture,
-        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
-        trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)
+        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +428,7 @@ def mid_adversary_estimate(weights: SimplexWeights | Sequence[float], chosen: in
         raise IndexError(f"chosen index {chosen} out of range")
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    loss = (float(zero_one_loss(h, z)) if isinstance(h, Hypothesis)
-            else h.expected_loss(z))
-    value = _estimate_value(loss, k, float(w[chosen]), estimator)
+    value = _estimate_value(h.expected_loss(z), k, float(w[chosen]), estimator)
     return CostVector.one_hot(k, chosen, value, bound=float(k))
 
 
@@ -460,7 +461,6 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     point from the adversary's mixture and one for the adversary's own
     uniform-index estimate.  Total queries are exactly N + 2T.
     """
-    t0 = time.perf_counter()
     cons = resolve_constants(constants)
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must be in (0, 1)")
@@ -469,6 +469,7 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     k = instance.k
     d = _resolve_vc(instance, vc_dim)
     sched = _mid_schedule(epsilon, delta, k, d, cons)
+    _check_queries(sched["N"] + 2 * sched["T"])
     rng = make_rng(seed)
     ledger = SampleLedger(k)
 
@@ -529,8 +530,7 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     return RunReport(
         algorithm="mid", seed=seed, config=config,
         hypothesis=RandomizedHypothesis(matrix, mean_weights),
-        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
-        trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)
+        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +568,6 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
     distribution at or below the median loss with that round's hypothesis.
     The failure budget delta is split across the ceil(log2 k) rounds.
     """
-    t0 = time.perf_counter()
     cons = resolve_constants(constants)
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must be in (0, 1)")
@@ -577,6 +576,8 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
     rounds = max(1, math.ceil(math.log2(k)))
     delta_inner = delta / rounds
     m_eval = personalized_eval_size(epsilon, delta, k, cons["Ceval"])
+    # each inner mid run checks its own queries; this bounds the evaluations
+    _check_queries(rounds * k * m_eval)
 
     ledger = SampleLedger(k)
     active = list(range(k))
@@ -621,5 +622,4 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
     return RunReport(
         algorithm="personalized", seed=seed, config=config, hypothesis=None,
         assignments=assignments,
-        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
-        trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)
+        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total, trace=trace)

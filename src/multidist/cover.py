@@ -42,14 +42,23 @@ class CoverResult:
     representative_ids: list[int]  # ids in the original class
 
 
-def empirical_loss(h: Hypothesis | RandomizedHypothesis, batch: SampleBatch) -> float:
-    """Mean 0-1 loss over the batch (expected loss for mixtures)."""
+def _checked_batch(batch: SampleBatch, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's (points, labels), checked: nonempty, points in 0..n-1, labels 0/1."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    if isinstance(h, Hypothesis):
-        return float((h.labels[batch.points] != batch.labels).mean())
+    points, labels = np.asarray(batch.points), np.asarray(batch.labels)
+    if points.min() < 0 or points.max() >= n:
+        raise IndexError("batch point outside the class domain")
+    if labels.min() < 0 or labels.max() > 1:
+        raise ValueError("batch labels must be in {0, 1}")
+    return points, labels
+
+
+def empirical_loss(h: Hypothesis | RandomizedHypothesis, batch: SampleBatch) -> float:
+    """Mean 0-1 loss over the batch (expected loss for mixtures)."""
     pm = h.prediction_mean()
-    per = np.where(batch.labels == 1, 1.0 - pm[batch.points], pm[batch.points])
+    points, labels = _checked_batch(batch, len(pm))
+    per = np.where(labels == 1, 1.0 - pm[points], pm[points])
     return float(per.mean())
 
 
@@ -62,16 +71,8 @@ def erm(hclass: HypothesisClass, batch: SampleBatch) -> Hypothesis:
     c[x, 0] zeros at points it labels 1.  The counts are integers and the
     empirical loss is count / m, so the argmin is the same.
     """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    if len(hclass) == 0:
-        raise ValueError("empty class")
     n = hclass.domain_size
-    points, labels = np.asarray(batch.points), np.asarray(batch.labels)
-    if points.min() < 0 or points.max() >= n:
-        raise IndexError("batch point outside the class domain")
-    if labels.min() < 0 or labels.max() > 1:
-        raise ValueError("batch labels must be in {0, 1}")
+    points, labels = _checked_batch(batch, n)
     c = np.bincount(points * 2 + labels, minlength=2 * n).reshape(n, 2)
     mistakes = hclass.matrix @ (c[:, 0] - c[:, 1]) + c[:, 1].sum()
     best = int(np.argmin(mistakes))

@@ -1,5 +1,5 @@
 """Exact ground truth: brute-force optima, worst-case losses, the
-majority-subset bound check, and instance generators.
+majority-subset bound check, the audit of a run, and instance generators.
 
 This is the only module allowed to read distribution masses directly.
 Algorithms are audited against the quantities computed here; neither they
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from multidist.algos import RunReport
 from multidist.model import (
     GuardError,
     FiniteDistribution,
@@ -61,15 +62,16 @@ def brute_force_opt(instance: MdlInstance) -> OptResult:
     return OptResult(float(worst[argmin]), argmin, matrix)
 
 
-def _per_distribution_losses(instance: MdlInstance,
-                             h: Hypothesis | RandomizedHypothesis) -> np.ndarray:
-    return np.array([exact_loss(d, h) for d in instance.distributions])
+def _per_distribution_losses(instance: MdlInstance, hypotheses: list) -> np.ndarray:
+    """Exact loss of each distribution under its own entry of `hypotheses`."""
+    return np.array([exact_loss(d, h)
+                     for d, h in zip(instance.distributions, hypotheses)])
 
 
 def max_loss(instance: MdlInstance,
              h: Hypothesis | RandomizedHypothesis) -> tuple[float, int]:
     """Exact worst-case loss of h and the index of a worst distribution."""
-    losses = _per_distribution_losses(instance, h)
+    losses = _per_distribution_losses(instance, [h] * instance.k)
     worst = int(np.argmax(losses))
     return float(losses[worst]), worst
 
@@ -83,9 +85,33 @@ def minority_bound_check(instance: MdlInstance,
     False on any input is a build-breaking bug, not data.
     """
     k = instance.k
-    losses = _per_distribution_losses(instance, h)
+    losses = _per_distribution_losses(instance, [h] * k)
     smooth_value, _ = smooth_argmax(losses, smooth_cap(k))
     return bool(np.sort(losses)[(k + 1) // 2 - 1] <= smooth_value + 1e-12)
+
+
+def evaluate_run(instance: MdlInstance, report: RunReport, epsilon: float,
+                 alpha: float, opt: OptResult) -> dict:
+    """Exact losses of the run's output (a personalized run's assignments) vs OPT."""
+    k = instance.k
+    if report.assignments is None:
+        losses = _per_distribution_losses(instance, [report.hypothesis] * k)
+        smooth = smooth_argmax(losses, smooth_cap(k))[0]
+    else:
+        losses = _per_distribution_losses(instance, [report.assignments[i] for i in range(k)])
+        smooth = None
+    worst = int(np.argmax(losses))
+    value = float(losses[worst])
+    bound = epsilon + (1.0 + alpha) * opt.opt_value
+    return {
+        "opt": opt.opt_value,
+        "max_loss": value,
+        "worst_index": worst,
+        "excess": value - opt.opt_value,
+        "smooth_max_loss": smooth,
+        "eps_ok": value <= bound,
+        "slack": bound - value,
+    }
 
 
 # ---------------------------------------------------------------------------

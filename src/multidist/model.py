@@ -148,17 +148,33 @@ class FiniteDistribution:
         return self.atom_index(rng.random(count))
 
 
+def _label_loss(p1: float, label: int) -> float:
+    """Expected 0-1 loss on a point of `label` when label 1 has probability p1."""
+    return 1.0 - p1 if label == 1 else p1
+
+
+class _Scored:
+    """Both kinds of hypothesis are scored through ``prediction_mean()``,
+    the per-point probability of label 1 (a deterministic one's labels)."""
+
+    __slots__ = ()
+
+    def expected_loss(self, z: LabeledExample) -> float:
+        pm = self.prediction_mean()
+        if not 0 <= z.point < len(pm):
+            raise DomainMismatchError(f"point {z.point} outside domain")
+        return _label_loss(float(pm[z.point]), z.label)
+
+
 @dataclass(frozen=True, eq=False)
-class Hypothesis:
+class Hypothesis(_Scored):
     """One binary labeling of the domain, identified within its class."""
 
     labels: np.ndarray
     id: int
 
-    def predict(self, point: int) -> int:
-        if not 0 <= point < len(self.labels):
-            raise DomainMismatchError(f"point {point} outside domain")
-        return int(self.labels[point])
+    def prediction_mean(self) -> np.ndarray:
+        return self.labels
 
 
 def first_distinct_rows(matrix: np.ndarray) -> np.ndarray:
@@ -270,11 +286,6 @@ class HypothesisClass:
         raise ValueError(f"unknown family {family!r}")
 
 
-def _label_loss(p1: float, label: int) -> float:
-    """Expected 0-1 loss on a point of `label` when label 1 has probability p1."""
-    return 1.0 - p1 if label == 1 else p1
-
-
 def _prediction_at(weights: np.ndarray, column: np.ndarray,
                    total: float | None = None) -> float:
     """Probability of label 1 at one point under the mixture with these
@@ -294,7 +305,7 @@ def _prediction_at(weights: np.ndarray, column: np.ndarray,
     return float(np.add.accumulate((weights / total) * column)[-1])
 
 
-class RandomizedHypothesis:
+class RandomizedHypothesis(_Scored):
     """Convex mixture of hypotheses; losses are exact expectations.
 
     Built from weights over the rows of a label matrix (a class matrix, say),
@@ -321,8 +332,6 @@ class RandomizedHypothesis:
     def from_weights(cls, hypotheses: Sequence[Hypothesis],
                      weights: Sequence[float]) -> "RandomizedHypothesis":
         """Mixture from a weight vector over these hypotheses."""
-        if len(hypotheses) != len(weights):
-            raise ValueError("weights length must match hypotheses")
         return cls(np.array([h.labels for h in hypotheses]), weights,
                    [h.id for h in hypotheses])
 
@@ -336,12 +345,6 @@ class RandomizedHypothesis:
             terms = self.weights[:, None] * self.labels
             self._pred_mean = np.add.accumulate(terms, axis=0)[-1].copy()
         return self._pred_mean
-
-    def expected_loss(self, z: LabeledExample) -> float:
-        pm = self.prediction_mean()
-        if not 0 <= z.point < len(pm):
-            raise DomainMismatchError(f"point {z.point} outside domain")
-        return _label_loss(float(pm[z.point]), z.label)
 
 
 class SampleLedger:
@@ -426,19 +429,9 @@ class MdlInstance:
             return cls.from_dict(json.load(f))
 
 
-def zero_one_loss(h: Hypothesis, z: LabeledExample) -> int:
-    """1 iff the hypothesis mislabels the example."""
-    return int(h.predict(z.point) != z.label)
-
-
 def exact_loss(dist: FiniteDistribution,
                h: Hypothesis | RandomizedHypothesis) -> float:
     """Exact expected 0-1 loss under the distribution; no sampling."""
-    if isinstance(h, Hypothesis):
-        if dist.max_point() >= len(h.labels):
-            raise DomainMismatchError("distribution support outside hypothesis domain")
-        errs = (h.labels[dist.points] != dist.labels)
-        return float(errs @ dist.probs)
     pm = h.prediction_mean()
     if dist.max_point() >= len(pm):
         raise DomainMismatchError("distribution support outside hypothesis domain")

@@ -10,7 +10,6 @@ the same report, bit for bit, for every seed.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -41,7 +40,6 @@ def reference_run_mid(instance: MdlInstance, epsilon: float, delta: float, seed:
                       estimator: str = "unbiased", vc_dim: int | None = None,
                       record_trace: bool = True) -> RunReport:
     """Covered Hedge learner vs capped (2-smooth) Hedge adversary."""
-    t0 = time.perf_counter()
     cons = resolve_constants(constants)
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must be in (0, 1)")
@@ -86,5 +84,4 @@ def reference_run_mid(instance: MdlInstance, epsilon: float, delta: float, seed:
     return RunReport(
         algorithm="mid", seed=seed, config=config,
         hypothesis=RandomizedHypothesis.from_weights(sub.hypotheses, mean_weights),
-        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total,
-        trace=trace, wall_ms=(time.perf_counter() - t0) * 1000.0)
+        ledger_per_oracle=list(ledger.per_oracle), ledger_total=ledger.total, trace=trace)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import suite_instance
 from multidist.algos import (
+    QUERY_GUARD,
+    _finite_schedule,
     fast_params,
     median_filter,
     mid_adversary_estimate,
@@ -97,6 +99,11 @@ class TestRunFast:
 
 
 class TestRunFinite:
+    def test_query_guard_leaves_headroom(self):
+        # the largest run the package documents: k = 64, eps = 0.01, |H| = 1024
+        T = _finite_schedule(1024, 64, 0.01, 0.2, 4.0)[0]
+        assert T > 1e7 and 100 * T <= QUERY_GUARD
+
     def test_singleton_class_returns_it(self):
         d = FiniteDistribution([(0, 1, 1.0)])
         inst = MdlInstance(1, [d], HypothesisClass([[1]]))

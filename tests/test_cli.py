@@ -1,11 +1,12 @@
 import csv
 import json
+import time
 
 import pytest
 
-from multidist import cli, evaluate, model
+from multidist import algos, cli, evaluate, model
 from multidist.algos import RunReport
-from multidist.evaluate import InstanceSpec, brute_force_opt, generate
+from multidist.evaluate import InstanceSpec, brute_force_opt, evaluate_run, generate
 from multidist.model import (
     FiniteDistribution,
     HypothesisClass,
@@ -208,6 +209,46 @@ class TestSolve:
         assert f"constant {key} is too large" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo, key", [
+        ("fast", "C1"), ("finite", "C"), ("cover_finite", "C"), ("mid", "C"),
+        ("personalized", "C"), ("personalized", "Ceval"),
+    ])
+    def test_query_guard_exit_code(self, algo, key, tmp_path, monkeypatch, capsys):
+        # a budget that fits a 64-bit count but would run for ever (finite)
+        # or exhaust memory (the batched draws) is refused before any draw;
+        # a run that reaches a draw fails here instead of hanging
+        def never(*args, **kwargs):
+            raise AssertionError("the run drew before its query guard")
+
+        for name in ("mixture_sample_many", "oracle_sample_many", "_draw",
+                     "_mixture_draw", "_uniform_pairs"):
+            monkeypatch.setattr(algos, name, never)
+        out = tmp_path / "r.json"
+        start = time.perf_counter()
+        code = run_cli("solve", "--algo", algo, "--family", "random", "--n", "6",
+                       "--k", "2", "--class-size", "8", "--constants", f"{key}=1e15",
+                       "--no-trace", "--out", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "query guard" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_timing_fields(self, tmp_path):
+        # --timing adds one wall_ms key to the JSON and fills the CSV column;
+        # nothing else in the report moves
+        untimed, timed = tmp_path / "u.json", tmp_path / "t.json"
+        row = tmp_path / "t.csv"
+        flags = ("solve", "--algo", "mid", "--family", "random", "--n", "6",
+                 "--k", "3", "--seed", "2")
+        assert run_cli(*flags, "--out", str(untimed)) == 0
+        assert run_cli(*flags, "--timing", "--out", str(timed), "--csv", str(row)) == 0
+        report = json.loads(timed.read_text())
+        wall_ms = report.pop("wall_ms")
+        assert isinstance(wall_ms, float) and wall_ms >= 0.0
+        assert (json.dumps(report, sort_keys=True, indent=2) + "\n"
+                == untimed.read_text())
+        assert float(next(csv.DictReader(row.open()))["wall_ms"]) >= 0.0
+
     def test_bad_constant_exit_code(self, tmp_path, capsys):
         code = run_cli("solve", "--algo", "fast", "--family", "random",
                        "--constants", "Cbogus=2", "--out", str(tmp_path / "r.json"))
@@ -365,7 +406,7 @@ def _evaluate(instance, weights, epsilon, alpha=0.0):
         instance.hypothesis_class.hypotheses, weights)
     report = RunReport(algorithm="fixed", seed=0, config={}, hypothesis=hypothesis,
                        ledger_per_oracle=[0] * instance.k, ledger_total=0, trace=[])
-    return cli._evaluate_run(instance, report, epsilon, alpha, brute_force_opt(instance))
+    return evaluate_run(instance, report, epsilon, alpha, brute_force_opt(instance))
 
 
 class TestEvaluateRun:

@@ -63,6 +63,31 @@ class TestEmpiricalLoss:
             empirical_loss(h, _batch([]))
 
 
+# erm and empirical_loss (for either kind of hypothesis) share one batch check
+_SCORERS = {
+    "erm": lambda batch: erm(HypothesisClass([[1, 0]]), batch),
+    "hypothesis": lambda batch: empirical_loss(
+        Hypothesis(np.array([1, 0], dtype=np.uint8), 0), batch),
+    "mixture": lambda batch: empirical_loss(
+        RandomizedHypothesis(np.array([[1, 0]], dtype=np.uint8), [1.0]), batch),
+}
+
+
+@pytest.mark.parametrize("scorer", _SCORERS)
+class TestBatchCheck:
+    def test_point_outside_domain(self, scorer):
+        # before the shared check, a negative point wrapped around to the
+        # last domain point
+        for point in (-1, 2):
+            with pytest.raises(IndexError, match="batch point outside the class domain"):
+                _SCORERS[scorer](_batch([(0, 1), (point, 0)]))
+
+    def test_non_binary_label(self, scorer):
+        # before, the label 2 cost a hypothesis 1.0 and its mixture 0.0
+        with pytest.raises(ValueError, match=r"batch labels must be in \{0, 1\}"):
+            _SCORERS[scorer](_batch([(0, 1), (1, 2)]))
+
+
 def _erm_oracle(hclass, batch):
     # independently written scan: plain python loops, no vectorization
     best_h, best_loss = None, None

@@ -27,7 +27,6 @@ from multidist.model import (
     oracle_sample,
     oracle_sample_many,
     vc_dimension,
-    zero_one_loss,
 )
 
 
@@ -44,16 +43,16 @@ def _instance(dists, hclass=None, n=4) -> MdlInstance:
 class TestZeroOneLoss:
     def test_agreement(self):
         h = Hypothesis(np.array([1, 0], dtype=np.uint8), 0)
-        assert zero_one_loss(h, LabeledExample(0, 1)) == 0
+        assert h.expected_loss(LabeledExample(0, 1)) == 0.0
 
     def test_disagreement(self):
         h = Hypothesis(np.array([1, 0], dtype=np.uint8), 0)
-        assert zero_one_loss(h, LabeledExample(0, 0)) == 1
+        assert h.expected_loss(LabeledExample(0, 0)) == 1.0
 
     def test_out_of_range_point(self):
         h = Hypothesis(np.array([1, 0], dtype=np.uint8), 0)
         with pytest.raises(DomainMismatchError):
-            zero_one_loss(h, LabeledExample(5, 0))
+            h.expected_loss(LabeledExample(5, 0))
 
     def test_mixture_linearity(self):
         # 1/4 weight on an erring hypothesis, 3/4 on a correct one -> 1/4.
