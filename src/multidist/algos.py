@@ -23,9 +23,16 @@ loop reuses the totals its simplex checks return: the adversary's total
 normalizes the next round's mixture, and the learner's total normalizes its
 prediction at the adversary's point while every learner weight is positive.
 Its adversary's estimate is one-hot, so the Hedge step scales the chosen
-weight alone before the capped projection.  The finite loop draws its two
-uniforms per round (oracle, then atom) in fixed-size blocks.  All of these
-give the bits the public steps give.  The fast loop keeps its public steps,
+weight alone before the capped projection, and a projection that clamps
+nothing hands its maximum to the cap check.  Both loops take their
+randomness in blocks of ``_PAIR_BLOCK`` rounds: the finite loop draws its
+two uniforms per round (oracle, then atom); the mid loop decodes its four
+(the mixture's oracle and atom, the estimate's uniform oracle and atom)
+with ``model._round_draws``.  The estimate's query does not depend on the
+game, so the mid loop draws a block's estimate queries at once, one batch
+per oracle, and reads the learner's labels at each drawn point as a row of
+the transposed subclass matrix.  All of these give the bits the public
+steps give.  The fast loop keeps its public steps,
 since its cost is the ERM scan.  The object-level loops these replaced are
 kept in ``tests/reference_mid.py`` and ``tests/reference_finite.py``, and
 the tests require identical reports.
@@ -57,10 +64,11 @@ from multidist.model import (
     RandomizedHypothesis,
     SampleLedger,
     _draw,
+    _draws,
     _label_loss,
-    _mixture_draw,
     _mixture_index,
     _prediction_at,
+    _round_draws,
     derive_seed,
     make_rng,
     mixture_sample_many,
@@ -88,8 +96,8 @@ ESTIMATORS = ("unbiased", "literal")
 _RATE_FLOOR = 1e-9
 _RATE_CEIL = 0.5
 
-# Rounds whose uniforms the finite loop draws at once: memory stays O(1) in T
-# (a k = 64, eps = 0.01 run has T near 15 million).
+# Rounds whose randomness the finite and mid loops draw at once: memory stays
+# O(1) in T (a k = 64, eps = 0.01 run has T near 15 million).
 _PAIR_BLOCK = 4096
 
 # A schedule of more queries (about 130 times the T of that k = 64 run) would
@@ -491,39 +499,49 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     learner_min, learner_total = _check_simplex(learner, None)
     _, adversary_total = _check_simplex(adversary, cap)
     # The learner's Hedge factors at a drawn (point, label) are the same
-    # every time it is drawn, so each row is computed once.
+    # every time it is drawn, so each row is computed once.  A point's
+    # labels under the learner's hypotheses are one row of the transpose.
     factor_rows: dict[tuple[int, int], np.ndarray] = {}
+    labels_at = np.ascontiguousarray(matrix.T)
     mean_weights = np.zeros(len(sub))
     trace: list[dict] = []
-    for t in range(sched["T"]):
-        mean_weights += learner
-        atom = _mixture_draw(instance, adversary / adversary_total, rng, ledger)
-        if atom not in factor_rows:
-            factor_rows[atom] = np.exp(-eta_learner * (matrix[:, atom[0]] != atom[1]))
-        chosen = int(rng.integers(k))
-        x2, y2 = _draw(instance, chosen, rng.random(), ledger)
-        # with every weight positive, the mask would keep them all, so the
-        # checked total is the normalizer
-        p1 = _prediction_at(learner, matrix[:, x2],
-                            learner_total if learner_min > 0 else None)
-        value = _estimate_value(_label_loss(p1, y2), k, float(adversary[chosen]),
-                                estimator)
-        if not -SUM_TOL <= value <= k + SUM_TOL:
-            raise ValueError(f"adversary estimate {value!r} outside [0, {k}]")
-        if record_trace:
-            trace.append({"t": t, "adversary": adversary.tolist(),
-                          "learner_id": int(np.argmax(learner)),
-                          "chosen": chosen, "estimate": value})
-        scaled = learner * factor_rows[atom]
-        learner = scaled / scaled.sum()
-        # The estimate is one-hot: every other coordinate's factor is
-        # exp(-0.0) = 1, so only the chosen weight is scaled.
-        scaled = adversary.copy()
-        scaled[chosen] *= np.exp(-eta_adversary * value)
-        adversary = _project_capped(scaled, cap)
-        learner_min, learner_total = _check_simplex(learner, None)
-        _, adversary_total = _check_simplex(adversary, cap)
-    mean_weights /= sched["T"]
+    T = sched["T"]
+    for start in range(0, T, _PAIR_BLOCK):
+        count = min(_PAIR_BLOCK, T - start)
+        u_oracle, u_atom, chosen_block, u_estimate = _round_draws(rng, k, count)
+        # The estimate's query (a uniform oracle, then an atom of it) does not
+        # depend on the game, so the block's queries are drawn at once.
+        points, labels = _draws(instance, chosen_block, u_estimate, ledger)
+        for t, u1, u2, chosen, x2, y2 in zip(
+                range(start, start + count), u_oracle.tolist(), u_atom.tolist(),
+                chosen_block.tolist(), points.tolist(), labels.tolist()):
+            mean_weights += learner
+            atom = _draw(instance, _mixture_index(adversary / adversary_total, u1),
+                         u2, ledger)
+            if atom not in factor_rows:
+                factor_rows[atom] = np.exp(-eta_learner * (matrix[:, atom[0]] != atom[1]))
+            # with every weight positive, the mask would keep them all, so the
+            # checked total is the normalizer
+            p1 = _prediction_at(learner, labels_at[x2],
+                                learner_total if learner_min > 0 else None)
+            value = _estimate_value(_label_loss(p1, y2), k, float(adversary[chosen]),
+                                    estimator)
+            if not -SUM_TOL <= value <= k + SUM_TOL:
+                raise ValueError(f"adversary estimate {value!r} outside [0, {k}]")
+            if record_trace:
+                trace.append({"t": t, "adversary": adversary.tolist(),
+                              "learner_id": int(np.argmax(learner)),
+                              "chosen": chosen, "estimate": value})
+            scaled = learner * factor_rows[atom]
+            learner = scaled / np.add.reduce(scaled)
+            # The estimate is one-hot: every other coordinate's factor is
+            # exp(-0.0) = 1, so only the chosen weight is scaled.
+            scaled = adversary.copy()
+            scaled[chosen] *= np.exp(-eta_adversary * value)
+            adversary, high = _project_capped(scaled, cap)
+            learner_min, learner_total = _check_simplex(learner, None)
+            _, adversary_total = _check_simplex(adversary, cap, high)
+    mean_weights /= T
     config = {"epsilon": epsilon, "delta": delta, "constants": cons,
               "estimator": estimator, "vc_dim": d, "eta_learner": eta_learner,
               "cover_behaviors": cover.behavior_count, **sched}

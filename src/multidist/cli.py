@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from multidist.algos import (
     ESTIMATORS,
@@ -209,6 +208,9 @@ def _run_cells(tasks: list[dict], jobs: int) -> list[dict]:
     # more workers than cores or cells would only add idle processes
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here: the pool's modules would add to every cold start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_solve_task, tasks))
     return [_solve_task(t) for t in tasks]

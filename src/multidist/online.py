@@ -12,8 +12,11 @@ The unchecked private steps (``_check_simplex``, ``_project_capped``,
 ``_exp3_step``) are what the dynamics loops in ``algos`` call every round;
 the loops do the plain Hedge multiply themselves, on cached factor rows.
 ``_check_simplex`` returns the minimum and the total it computes, so a loop
-can reuse them instead of summing again, and ``_project_capped`` returns
-the normalized vector at once when no coordinate exceeds the cap.
+can reuse them instead of summing again.  ``_project_capped`` returns the
+normalized vector at once when its maximum is within the cap, and hands
+that maximum on for the cap check; otherwise each clamping pass works on
+the index array of the coordinates still free (the masked pass it
+replaced is kept in ``tests/reference_projection.py``).
 """
 
 from __future__ import annotations
@@ -27,21 +30,26 @@ import numpy as np
 from multidist.model import SUM_TOL
 
 
-def _check_simplex(w: np.ndarray, cap: float | None) -> tuple[float, float]:
+def _check_simplex(w: np.ndarray, cap: float | None,
+                   high: float | None = None) -> tuple[float, float]:
     """Raise unless w is nonnegative, sums to 1 and stays at or below cap.
 
     Returns the minimum and the total it computed (``np.add.reduce``, the
-    same bits as ``w.sum()``), for a loop to reuse.  The sum test is written
-    so that a NaN sum fails it.
+    same bits as ``w.sum()``), for a loop to reuse.  A caller that already
+    has w's maximum may pass it as `high` for the cap test.  The sum test is
+    written so that a NaN sum fails it.
     """
-    low = float(w.min())
+    low = float(np.minimum.reduce(w))
     if low < 0:
         raise ValueError("weights must be nonnegative")
     total = float(np.add.reduce(w))
     if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
-    if cap is not None and float(w.max()) > cap + SUM_TOL:
-        raise ValueError("weight exceeds declared cap")
+    if cap is not None:
+        if high is None:
+            high = float(np.maximum.reduce(w))
+        if high > cap + SUM_TOL:
+            raise ValueError("weight exceeds declared cap")
     return low, total
 
 
@@ -117,30 +125,39 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"learning rate must be positive and finite, got {eta}")
 
 
-def _project_capped(v: np.ndarray, cap: float) -> np.ndarray:
-    """The projection of :func:`project_capped`, without input checks."""
-    w = v / v.sum()
-    over = w > cap
-    if not over.any():
-        return w
-    clamped = over
+def _project_capped(v: np.ndarray, cap: float) -> tuple[np.ndarray, float | None]:
+    """The projection of :func:`project_capped`, without input checks, and
+    its maximum when no coordinate was clamped (else None), for the cap
+    test of :func:`_check_simplex`.
+
+    Each clamping pass keeps the indices of the coordinates still free:
+    every other coordinate is at the cap, and the free ones share the
+    residual mass in proportion to v.
+    """
+    w = v / np.add.reduce(v)
+    high = float(np.maximum.reduce(w))
+    if high <= cap:
+        return w, high
+    free = np.flatnonzero(w <= cap)
     while True:  # each pass clamps at least one more coordinate
-        residual = 1.0 - cap * int(clamped.sum())
-        w = np.where(clamped, cap, 0.0)
-        free = ~clamped
-        if residual > 0 and free.any():
-            source = v[free]
-            src_total = float(source.sum())
-            if src_total > 0:
-                # divide before scaling: keeps subnormal inputs from
-                # underflowing the redistributed mass to zero
-                w[free] = (source / src_total) * residual
-            else:
-                w[free] = residual / int(free.sum())
-        over = (w > cap) & ~clamped
-        if not over.any():
-            return w
-        clamped |= over
+        residual = 1.0 - cap * (len(v) - len(free))
+        w = np.full(len(v), cap)
+        if not (residual > 0 and len(free)):
+            w[free] = 0.0
+            return w, None
+        source = v[free]
+        src_total = float(source.sum())
+        if src_total > 0:
+            # divide before scaling: keeps subnormal inputs from
+            # underflowing the redistributed mass to zero
+            share = (source / src_total) * residual
+        else:
+            share = np.full(len(free), residual / len(free))
+        w[free] = share
+        under = share <= cap
+        if under.all():
+            return w, None
+        free = free[under]
 
 
 def project_capped(raw: Sequence[float], cap: float) -> SimplexWeights:
@@ -158,7 +175,7 @@ def project_capped(raw: Sequence[float], cap: float) -> SimplexWeights:
     if float(v.sum()) <= 0:
         raise ValueError("input must not be all zero")
     _check_cap(cap, d)
-    return SimplexWeights(_project_capped(v, cap), cap=cap)
+    return SimplexWeights(_project_capped(v, cap)[0], cap=cap)
 
 
 def hedge_step_cost(w: SimplexWeights, costs: CostVector | Sequence[float],
@@ -172,7 +189,7 @@ def hedge_step_cost(w: SimplexWeights, costs: CostVector | Sequence[float],
     scaled = w.w * np.exp(-eta * c)
     if w.cap is None:
         return SimplexWeights(scaled / scaled.sum())
-    return SimplexWeights(_project_capped(scaled, w.cap), cap=w.cap)
+    return SimplexWeights(_project_capped(scaled, w.cap)[0], cap=w.cap)
 
 
 def hedge_step_payoff(w: SimplexWeights, payoffs: CostVector | Sequence[float],

@@ -6,6 +6,8 @@ fast versions, kept as test oracles.
 - ``reference_brute_force_vc``: every m-subset's label codes computed from
   scratch, a gather of the subset's columns and an integer matmul, then the
   same ``bincount`` leaf test.
+- ``reference_mixture_sample_many``: mixture draws oracle by oracle, one
+  boolean mask and one ``rng.random(m)`` block per chosen oracle.
 - ``reference_distribution_arrays``: the checks of the old
   ``FiniteDistribution`` constructor, ``np.isin`` for the labels and a set
   of numpy scalars for the duplicates; it returns the points, labels and
@@ -13,8 +15,9 @@ fast versions, kept as test oracles.
   non-integral point or label, which the constructor now rejects, so it is
   an oracle only for integer input.
 
-The fast kernels must give the same indices, the same VC dimension, and the
-same accept/reject outcome and message.
+The fast kernels must give the same indices, the same VC dimension, the
+same draws, ledger and generator state, and the same accept/reject outcome
+and message.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from typing import Iterable
 
 import numpy as np
 
-from multidist.model import VC_MAX_CLASS, VC_MAX_DOMAIN, GuardError, HypothesisClass
+from multidist.model import (
+    VC_MAX_CLASS,
+    VC_MAX_DOMAIN,
+    GuardError,
+    HypothesisClass,
+    MdlInstance,
+    SampleLedger,
+    _check_mixture,
+)
 
 
 def reference_first_distinct_rows(matrix: np.ndarray) -> np.ndarray:
@@ -73,3 +84,26 @@ def reference_distribution_arrays(
     if len({(int(x), int(y)) for x, y in zip(pts, lbs)}) != len(atoms):
         raise ValueError("duplicate (point, label) atom")
     return pts, lbs, pbs
+
+
+def reference_mixture_sample_many(instance: MdlInstance, weights: np.ndarray, count: int,
+                                  rng: np.random.Generator,
+                                  ledger: SampleLedger) -> tuple[np.ndarray, np.ndarray]:
+    """`count` mixture draws, vectorized per chosen oracle; `count` increments."""
+    w = _check_mixture(np.asarray(weights), instance.k)
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    chosen = rng.choice(instance.k, size=count, p=w)
+    points = np.empty(count, dtype=np.int64)
+    labels = np.empty(count, dtype=np.int64)
+    for i in range(instance.k):
+        mask = chosen == i
+        m = int(mask.sum())
+        if m == 0:
+            continue
+        dist = instance.distributions[i]
+        idx = dist.draw_indices(m, rng)
+        points[mask] = dist.points[idx]
+        labels[mask] = dist.labels[idx]
+        ledger.record(i, m)
+    return points, labels

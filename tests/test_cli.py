@@ -1,6 +1,10 @@
+import concurrent.futures
 import csv
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -221,7 +225,7 @@ class TestSolve:
             raise AssertionError("the run drew before its query guard")
 
         for name in ("mixture_sample_many", "oracle_sample_many", "_draw",
-                     "_mixture_draw", "_uniform_pairs"):
+                     "_round_draws", "_uniform_pairs"):
             monkeypatch.setattr(algos, name, never)
         out = tmp_path / "r.json"
         start = time.perf_counter()
@@ -342,7 +346,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         args = ("sweep", "--algo", "fast", "--family", "random", "--n", "6",
                 "--k", "3", "--seeds", "1,2,3", "--jobs", "4096")
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
@@ -525,3 +529,14 @@ class TestParserReuse:
         assert [r[0] for r in cached[:-1]] == [0, 0, 2, 0]
         assert cached == fresh
         assert cli.build_parser() is cli.build_parser()
+
+
+def test_import_does_not_load_the_process_pool():
+    # only a sweep with more than one worker imports the pool's modules
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import multidist.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent', 'multiprocessing'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,5 @@
-"""Differential tests: the exact integer kernels of ``multidist.model``
-(packed-key row dedupe, prefix-code VC search, array checks of a
+"""Differential tests: the exact kernels of ``multidist.model`` (packed-key
+row dedupe, prefix-code VC search, batched mixture draws, array checks of a
 distribution) against the versions kept in ``reference_kernels.py``."""
 
 import numpy as np
@@ -7,17 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import suite_instance
 from multidist.model import (
     FiniteDistribution,
     HypothesisClass,
+    SampleLedger,
     brute_force_vc,
     first_distinct_rows,
+    make_rng,
+    mixture_sample_many,
 )
 
 from reference_kernels import (
     reference_brute_force_vc,
     reference_distribution_arrays,
     reference_first_distinct_rows,
+    reference_mixture_sample_many,
 )
 
 # byte edges of the packed keys (7, 8, 9), of one 64-bit word (63, 64, 65),
@@ -178,3 +183,22 @@ class TestFiniteDistributionChecks:
     def test_integral_float_duplicates_are_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             FiniteDistribution([(2, 1, 0.5), (2.0, 1.0, 0.5)])
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 37, 500])
+def test_mixture_draws_match_the_per_oracle_loop(count):
+    # weights with zeros, so some oracles are never chosen
+    for s in range(40):
+        inst = suite_instance(s)
+        w = make_rng(s).random(inst.k) * (make_rng(s + 40).random(inst.k) < 0.7)
+        if not w.sum() > 0:
+            w[0] = 1.0
+        w /= w.sum()
+        ours, theirs = make_rng((8401, s)), make_rng((8401, s))
+        ours_ledger, theirs_ledger = SampleLedger(inst.k), SampleLedger(inst.k)
+        got = mixture_sample_many(inst, w, count, ours, ours_ledger)
+        want = reference_mixture_sample_many(inst, w, count, theirs, theirs_ledger)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(got, want)), f"suite member {s}"
+        assert ours_ledger.per_oracle == theirs_ledger.per_oracle
+        assert ours.bit_generator.state == theirs.bit_generator.state

@@ -18,7 +18,9 @@ from multidist.model import (
     HypothesisClass,
     RandomizedHypothesis,
     _prediction_at,
+    _round_draws,
     derive_seed,
+    make_rng,
 )
 from multidist.online import _check_simplex
 from reference_mid import reference_run_mid
@@ -91,6 +93,80 @@ class TestAgainstReference:
                 assert _same(ours, ref), f"seed {s}, {estimator}"
         assert paths["early"] > 0
         assert (paths["clamp"] > 0) == (k > 2)
+
+
+class TestAcrossBlocks:
+    def test_mid_identical_with_small_blocks(self, monkeypatch):
+        # blocks of 7 rounds, so every run spans several, the last cut short
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        cases = [(suite_instance(s), 0.45, 0.3, derive_seed(8106, s))
+                 for s in range(0, 40, 4)]
+        cases += [(generate(InstanceSpec("random", n=8, k=16, class_size=24,
+                                         seed=derive_seed(8106, 16))), 0.3, 0.2, 5)]
+        for inst, eps, delta, seed in cases:
+            for estimator in algos.ESTIMATORS:
+                ours = run_mid(inst, eps, delta, seed, estimator=estimator)
+                ref = reference_run_mid(inst, eps, delta, seed, estimator=estimator)
+                assert _same(ours, ref), f"k = {inst.k}, seed {seed}, {estimator}"
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_personalized_identical_down_to_one_distribution(self, k, monkeypatch):
+        # k = 1 runs mid on one distribution; at k = 3 and 5 the halving
+        # leaves at most one distribution for its last round
+        insts = [generate(InstanceSpec("random", n=6, k=k, class_size=12,
+                                       seed=derive_seed(8107, k, s))) for s in range(4)]
+
+        def runs():
+            return [run_personalized(inst, 0.45, 0.3, derive_seed(8108, k, s))
+                    for s, inst in enumerate(insts)]
+
+        ours = runs()
+        monkeypatch.setattr(algos, "run_mid", reference_run_mid)
+        for s, (a, b) in enumerate(zip(ours, runs())):
+            assert _same(a, b), f"instance {s}"
+        sizes = [rec["active_size"] for rep in ours for rec in rep.config["inner"]]
+        assert 1 in sizes
+
+
+def _scalar_rounds(rng, k: int, count: int) -> list[tuple]:
+    """The mid loop's four scalar calls per round, as it made them before
+    its draws were decoded in blocks."""
+    return [(rng.random(), rng.random(), int(rng.integers(k)), rng.random())
+            for _ in range(count)]
+
+
+class TestRoundDraws:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 16, 64, 2 ** 31 + 1])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_matches_scalar_calls(self, k, buffered):
+        # k = 2**31 + 1 rejects about half of its 32-bit draws; the blocks
+        # of 7 rounds mimic a loop whose rounds cross block boundaries
+        for count in (0, 1, 2, 7, 8, 23):
+            ours, theirs = make_rng(8109 + count), make_rng(8109 + count)
+            if buffered:  # leave half a word in the 32-bit buffer
+                ours.integers(3)
+                theirs.integers(3)
+                assert ours.bit_generator.state["has_uint32"] == 1
+            decoded = []
+            for start in range(0, max(count, 1), 7):  # count 0: one empty block
+                block = _round_draws(ours, k, min(7, count - start))
+                decoded += zip(*(col.tolist() for col in block))
+            assert decoded == _scalar_rounds(theirs, k, count), f"count {count}"
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_state_after_each_block(self):
+        ours, theirs = make_rng(8110), make_rng(8110)
+        for count in (1, 2, 7, 0, 3):
+            _round_draws(ours, 5, count)
+            _scalar_rounds(theirs, 5, count)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_refuses_other_generators_and_wide_k(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            _round_draws(np.random.Generator(np.random.MT19937(1)), 4, 3)
+        for k in (0, 2 ** 32):
+            with pytest.raises(ValueError, match="k"):
+                _round_draws(make_rng(1), k, 3)
 
 
 def _counting_draws(monkeypatch) -> Counter:

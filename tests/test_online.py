@@ -15,6 +15,7 @@ from multidist.online import (
     CostVector,
     SimplexWeights,
     _check_simplex,
+    _project_capped,
     exp3_step,
     hedge_step_cost,
     hedge_step_payoff,
@@ -22,7 +23,9 @@ from multidist.online import (
     project_capped,
     regret_of,
     smooth_argmax,
+    smooth_cap,
 )
+from reference_projection import reference_project_capped
 
 
 class TestSimplexWeights:
@@ -234,6 +237,72 @@ class TestProjectCapped:
         direct = project_capped(raw[perm], 0.5).w
         permuted = project_capped(raw, 0.5).w[perm]
         assert np.all(np.abs(direct - permuted) <= 1e-12)
+
+
+# (vector, cap) pairs at the edges of the clamp pass
+_PROJECTION_EDGES = [
+    ([0.3, 0.7], 1.0), ([1.0, 0.0], 1.0),  # cap = 1 at k = 2
+    ([0.0, 0.0, 5.0], 0.5), ([1.0, 0.0, 0.0, 0.0], 0.5),  # zeros
+    ([5e-324, 0.0, 0.0], 0.5), ([5e-324, 5e-324, 1e-310], 0.5),  # subnormals
+    ([1.0, 1.0, 0.0, 0.0], 0.5), ([10.0, 1.0, 1.0, 1.0, 0.0], 0.25),  # ties at cap
+    # every coordinate clamped: the cap sits just inside the feasibility
+    # tolerance, so the uniform share of the zeros exceeds it
+    ([1.0, 0.0, 0.0, 0.0], (1.0 - 1e-13) / 4),
+    # residual <= 0: three clamps at cap 1/3 leave 1 - 3 * cap = 0 for the last
+    ([1.0, 1.0, 1.0 + 2.0 ** -52, 0.0], 1.0 / 3.0),
+]
+
+
+def _projection_cases(count: int, seed: int, chunk: int = 10_000):
+    """Random (vector, cap) pairs, k in 1..64: uniform, heavy-tailed (many
+    clamps), small integers (ties) and subnormal entries, a fifth of them
+    zeroed, at caps from just inside the feasibility tolerance up to 1.
+    Drawn in chunks of rows; each vector is a prefix of its row."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, chunk):
+        rows = min(chunk, count - start)
+        kinds = np.stack([
+            rng.random((rows, 64)),
+            rng.exponential(size=(rows, 64)) ** 3,
+            rng.integers(0, 4, size=(rows, 64)).astype(np.float64),
+            rng.random((rows, 64)) * 10.0 ** rng.uniform(-322, -300, (rows, 64)),
+        ])
+        m = kinds[rng.integers(4, size=rows), np.arange(rows)]
+        m[rng.random((rows, 64)) < 0.2] = 0.0
+        m[:, 0] += m[:, 0] == 0  # a zero first entry becomes 1: no zero vector
+        d = rng.integers(1, 65, size=rows)
+        caps = np.stack([np.minimum(1.0, 2.0 / d), 1.0 / d, (1.0 - 1e-13) / d,
+                         np.ones(rows), rng.uniform(1.0 / d, 1.0)])
+        pick = rng.choice(len(caps), size=rows, p=[0.35, 0.05, 0.05, 0.15, 0.4])
+        cap = caps[pick, np.arange(rows)]
+        yield from zip([m[r, :d[r]] for r in range(rows)], cap.tolist())
+
+
+class TestProjectionAgainstReference:
+    def test_bits_match_the_masked_clamp_pass(self):
+        clamped = 0
+        cases = [(np.array(v), cap) for v, cap in _PROJECTION_EDGES]
+        for v, cap in [*cases, *_projection_cases(100_000, 8301)]:
+            ours, high = _project_capped(v, cap)
+            ref = reference_project_capped(v, cap)
+            assert ours.tobytes() == ref.tobytes(), (v.tolist(), cap)
+            # the maximum comes back exactly when no coordinate was clamped
+            took_clamp = bool((v / v.sum() > cap).any())
+            assert (high is None) == took_clamp
+            assert high is None or high == float(ours.max())
+            clamped += took_clamp
+        assert 10_000 < clamped < 90_000
+
+    @pytest.mark.parametrize("w, cap", [([0.5, 0.5], 0.5), ([0.7, 0.3], 0.5)])
+    def test_check_reuses_a_given_maximum(self, w, cap):
+        w = np.array(w)
+        passes = float(w.max()) <= cap
+        for high in (None, float(w.max())):
+            if passes:
+                _check_simplex(w, cap, high)
+            else:
+                with pytest.raises(ValueError, match="cap"):
+                    _check_simplex(w, cap, high)
 
 
 class TestExp3:
