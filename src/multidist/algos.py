@@ -14,8 +14,11 @@ steps that the public wrappers (``mixture_sample``, ``oracle_sample``,
 oracle with ``model._mixture_index``.  Each loop checks every round what
 those wrappers would check: the mid estimate lies in [0, k], the finite
 loop's observed cost lies in [0, 1], and both weight vectors are
-nonnegative, sum to 1 and respect the adversary's cap.  Learning rates are
-constant, so they are checked once, before the loop.
+nonnegative, sum to 1 and respect the adversary's cap.  The finite loop
+checks every round's weights in blocks of ``_CHECK_ROWS`` rounds
+(``online._check_simplex_rows``), and before any error a later round
+raises, so the first failing round raises the error it raised alone.
+Learning rates are constant, so they are checked once, before the loop.
 
 Per run, both loops compute the learner's Hedge factor row of each drawn
 (point, label) once (the finite loop also keeps its 0/1 cost row).  The mid
@@ -26,16 +29,18 @@ Its adversary's estimate is one-hot, so the Hedge step scales the chosen
 weight alone before the capped projection, and a projection that clamps
 nothing hands its maximum to the cap check.  Both loops take their
 randomness in blocks of ``_PAIR_BLOCK`` rounds: the finite loop draws its
-two uniforms per round (oracle, then atom); the mid loop decodes its four
-(the mixture's oracle and atom, the estimate's uniform oracle and atom)
-with ``model._round_draws``.  The estimate's query does not depend on the
-game, so the mid loop draws a block's estimate queries at once, one batch
-per oracle, and reads the learner's labels at each drawn point as a row of
-the transposed subclass matrix.  All of these give the bits the public
-steps give.  The fast loop keeps its public steps,
-since its cost is the ERM scan.  The object-level loops these replaced are
-kept in ``tests/reference_mid.py`` and ``tests/reference_finite.py``, and
-the tests require identical reports.
+two uniforms per round (oracle, then atom) and looks up every
+distribution's atom at the block's atom uniforms, so a round reads its atom
+by index and Exp3 updates in place; the mid loop decodes its four (the
+mixture's oracle and atom, the estimate's uniform oracle and atom) with
+``model._round_draws``.  The estimate's query does not depend on the game,
+so the mid loop draws a block's estimate queries at once, one batch per
+oracle, and reads the learner's labels at each drawn point as a row of the
+transposed subclass matrix.  All of these give the bits the public steps
+give.  The fast loop keeps its public steps, since its cost is the ERM
+scan.  The object-level loops these replaced are kept in
+``tests/reference_mid.py`` and ``tests/reference_finite.py``, and the tests
+require identical reports.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ from multidist.online import (
     _check_eta,
     _check_exp3_rates,
     _check_simplex,
+    _check_simplex_rows,
     _exp3_step,
     _project_capped,
     hedge_step_payoff,
@@ -97,8 +103,10 @@ _RATE_FLOOR = 1e-9
 _RATE_CEIL = 0.5
 
 # Rounds whose randomness the finite and mid loops draw at once: memory stays
-# O(1) in T (a k = 64, eps = 0.01 run has T near 15 million).
+# O(1) in T (a k = 64, eps = 0.01 run has T near 15 million).  The finite
+# loop checks its weights in stacks of _CHECK_ROWS rounds, 256 KB at most.
 _PAIR_BLOCK = 4096
+_CHECK_ROWS, _CHECK_ENTRIES = 32, 32_768
 
 # A schedule of more queries (about 130 times the T of that k = 64 run) would
 # run for days or exhaust memory, so a run checks its budget before drawing.
@@ -291,17 +299,17 @@ def _finite_schedule(class_size: int, k: int, epsilon: float, delta: float,
     return T, eta_learner, eta_exp3, exploration
 
 
-def _uniform_pairs(rng: np.random.Generator,
-                   count: int) -> Iterator[tuple[float, float]]:
-    """`count` pairs of uniforms, drawn in blocks of _PAIR_BLOCK pairs.
-
-    A block ``rng.random(2 * m)`` holds the doubles that 2 * m scalar
-    ``rng.random()`` calls would return, in order, and the last block is cut
-    to size, so the generator ends where the scalar calls would leave it.
-    """
+def _atom_blocks(instance: MdlInstance, rng: np.random.Generator, count: int
+                 ) -> Iterator[tuple[int, list[float], list[list[int]]]]:
+    """`count` finite rounds' draws in blocks of _PAIR_BLOCK rounds, each as
+    (first round, oracle uniforms, every distribution's atom indices at the
+    atom uniforms).  A block's ``rng.random(2 * m)`` is what 2 * m scalar
+    ``rng.random()`` calls return (oracle, then atom, per round), the last
+    block cut to size, so the generator ends where those calls leave it."""
     for start in range(0, count, _PAIR_BLOCK):
-        u = rng.random(2 * min(_PAIR_BLOCK, count - start)).tolist()
-        yield from zip(u[0::2], u[1::2])
+        u = rng.random(2 * min(_PAIR_BLOCK, count - start))
+        yield start, u[0::2].tolist(), [dist.atom_index(u[1::2]).tolist()
+                                        for dist in instance.distributions]
 
 
 def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
@@ -315,39 +323,52 @@ def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
     _check_queries(ledger.total + T)
     # Plain arrays, as in the mid loop (see the module docstring).  The costs
     # of a drawn (point, label) and their Hedge factors are the same every
-    # time it is drawn, so each is computed once.  Only drawn atoms get rows,
-    # which bounds the memory by the support, not by the domain.  The
-    # uniforms come in blocks; each round takes one for the oracle and one
-    # for the atom, in the order scalar draws would take them.
+    # time it is drawn, so each is computed once; keys[i][a] is distribution
+    # i's atom a.  Only drawn atoms get rows, which bounds the memory by the
+    # support, not by the domain.
     rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    keys = [list(zip(d.points.tolist(), d.labels.tolist())) for d in instance.distributions]
     _check_eta(eta_learner)
     _check_exp3_rates(eta_exp3, exploration)
     learner = SimplexWeights.uniform(class_size).w
     adversary = SimplexWeights.uniform(k).w
     mean_weights = np.zeros(class_size)
-    for t, (u_oracle, u_atom) in enumerate(_uniform_pairs(rng, T)):
-        mean_weights += learner
-        chosen = _mixture_index(adversary, u_oracle)
-        atom = _draw(instance, chosen, u_atom, ledger)
-        if atom not in rows:
-            costs = (hclass.matrix[:, atom[0]] != atom[1]).astype(np.float64)
-            rows[atom] = costs, np.exp(-eta_learner * costs)
-        costs, factors = rows[atom]
-        # Rounding can put the mixture's loss an ulp above 1, which would
-        # hand Exp3 a negative cost.
-        observed_loss = min(1.0, float(learner @ costs))
-        if not 0.0 <= 1.0 - observed_loss <= 1.0:
-            raise ValueError("observed cost must be in [0, 1]")
-        if record_trace:
-            trace.append({"t": t, "adversary": adversary.tolist(),
-                          "learner_id": int(np.argmax(learner)),
-                          "chosen": chosen, "observed_loss": observed_loss})
-        scaled = learner * factors
-        learner = scaled / scaled.sum()
-        adversary = _exp3_step(adversary, chosen, 1.0 - observed_loss,
-                               eta_exp3, exploration)
-        _check_simplex(learner, None)
-        _check_simplex(adversary, None)
+    check_rows = max(1, min(_CHECK_ROWS, _CHECK_ENTRIES // class_size))
+    learner_rows, adversary_rows = (np.empty((check_rows, d)) for d in (class_size, k))
+    pending = 0
+    try:
+        for start, u_oracle, atoms in _atom_blocks(instance, rng, T):
+            counts = [0] * k
+            for j, u in enumerate(u_oracle):
+                mean_weights += learner
+                chosen = _mixture_index(adversary, u)
+                counts[chosen] += 1
+                atom = keys[chosen][atoms[chosen][j]]
+                if atom not in rows:
+                    costs = (hclass.matrix[:, atom[0]] != atom[1]).astype(np.float64)
+                    rows[atom] = costs, np.exp(-eta_learner * costs)
+                costs, factors = rows[atom]
+                # Rounding can put the mixture's loss an ulp above 1, which
+                # would hand Exp3 a negative cost.
+                observed_loss = min(1.0, float(learner @ costs))
+                if not 0.0 <= 1.0 - observed_loss <= 1.0:
+                    raise ValueError("observed cost must be in [0, 1]")
+                if record_trace:
+                    trace.append({"t": start + j, "adversary": adversary.tolist(),
+                                  "learner_id": int(np.argmax(learner)),
+                                  "chosen": chosen, "observed_loss": observed_loss})
+                scaled = np.multiply(learner, factors, out=learner_rows[pending])
+                learner = np.divide(scaled, np.add.reduce(scaled), out=scaled)
+                _exp3_step(adversary, chosen, 1.0 - observed_loss, eta_exp3, exploration)
+                adversary_rows[pending] = adversary
+                pending += 1
+                if pending == check_rows:
+                    pending = 0
+                    _check_simplex_rows(learner_rows, adversary_rows)
+            for i, n in enumerate(counts):
+                ledger.record(i, n)
+    finally:  # the last rounds, or those before the round that raised
+        _check_simplex_rows(learner_rows[:pending], adversary_rows[:pending])
     mean_weights /= T
     meta = {"T": T, "eta_learner": eta_learner, "eta_exp3": eta_exp3,
             "exploration": exploration, "class_size": class_size}

@@ -251,9 +251,6 @@ class HypothesisClass:
     def __len__(self) -> int:
         return len(self.matrix)
 
-    def __iter__(self):
-        return iter(self.hypotheses)
-
     @property
     def domain_size(self) -> int:
         return self.matrix.shape[1]

@@ -12,7 +12,8 @@ The unchecked private steps (``_check_simplex``, ``_project_capped``,
 ``_exp3_step``) are what the dynamics loops in ``algos`` call every round;
 the loops do the plain Hedge multiply themselves, on cached factor rows.
 ``_check_simplex`` returns the minimum and the total it computes, so a loop
-can reuse them instead of summing again.  ``_project_capped`` returns the
+can reuse them instead of summing again; ``_check_simplex_rows`` applies it
+to stacks of rows at once.  ``_project_capped`` returns the
 normalized vector at once when its maximum is within the cap, and hands
 that maximum on for the cap check; otherwise each clamping pass works on
 the index array of the coordinates still free (the masked pass it
@@ -51,6 +52,18 @@ def _check_simplex(w: np.ndarray, cap: float | None,
         if high > cap + SUM_TOL:
             raise ValueError("weight exceeds declared cap")
     return low, total
+
+
+def _check_simplex_rows(*stacks: np.ndarray) -> None:
+    """:func:`_check_simplex` (uncapped) on rows of C-contiguous 2-D stacks,
+    row j of each before row j + 1 of any; axis-1 reductions give each row
+    its own bits, and the first failing row raises its usual error."""
+    failing = np.logical_or.reduce([
+        (np.minimum.reduce(s, axis=1) < 0)
+        | ~(np.abs(np.add.reduce(s, axis=1) - 1.0) <= SUM_TOL) for s in stacks])
+    for j in np.flatnonzero(failing)[:1].tolist():
+        for s in stacks:
+            _check_simplex(s[j], None)
 
 
 def _check_cap(cap: float, d: int) -> None:
@@ -207,16 +220,15 @@ def _check_exp3_rates(eta: float, exploration: float) -> None:
 
 def _exp3_step(w: np.ndarray, chosen: int, observed_cost: float, eta: float,
                exploration: float) -> np.ndarray:
-    """The update of :func:`exp3_step` on plain arrays; only the played
-    arm's probability is checked, because the estimate divides by it."""
+    """The update of :func:`exp3_step`, in place on a plain array (returned);
+    only the played arm's probability is checked: the estimate divides by it."""
     prob = float(w[chosen])
     if prob <= 0.0:
         raise ValueError("chosen arm has zero sampling probability")
-    estimate = observed_cost / prob
-    scaled = w.copy()
-    scaled[chosen] *= float(np.exp(-eta * estimate))
-    p = scaled / scaled.sum()
-    return (1.0 - exploration) * p + exploration / len(w)
+    w[chosen] *= np.exp(-eta * (observed_cost / prob))
+    np.divide(w, np.add.reduce(w), out=w)
+    np.multiply(w, 1.0 - exploration, out=w)
+    return np.add(w, exploration / len(w), out=w)
 
 
 def exp3_step(w: SimplexWeights, chosen: int, observed_cost: float, eta: float,
@@ -229,7 +241,7 @@ def exp3_step(w: SimplexWeights, chosen: int, observed_cost: float, eta: float,
     if not 0.0 <= observed_cost <= 1.0:
         raise ValueError("observed cost must be in [0, 1]")
     _check_exp3_rates(eta, exploration)
-    return SimplexWeights(_exp3_step(w.w, chosen, observed_cost, eta, exploration))
+    return SimplexWeights(_exp3_step(w.w.copy(), chosen, observed_cost, eta, exploration))
 
 
 def smooth_cap(k: int) -> float:

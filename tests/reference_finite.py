@@ -1,11 +1,12 @@
 """Object-level references for the wide-class paths, kept for differential
 tests.
 
-These are the finite loop, ERM and VC search as they ran before they moved
-onto plain arrays and counts: the loop draws through ``oracle_sample`` and
-validates each step through the public ``SimplexWeights`` wrappers
-(``hedge_step_cost``, ``exp3_step``), ERM averages a boolean mistake table,
-and the VC search counts distinct codes with ``np.unique``.  The array-native
+These are the finite loop, its Exp3 step, ERM and VC search as they ran
+before they moved onto plain arrays and counts: the loop draws through
+``oracle_sample`` and validates each step through the public
+``SimplexWeights`` wrappers (``hedge_step_cost``, ``exp3_step``), the Exp3
+step updates a copy, ERM averages a boolean mistake table, and the VC
+search counts distinct codes with ``np.unique``.  The array-native
 versions in ``multidist`` must return the same results, bit for bit.
 """
 
@@ -62,6 +63,19 @@ def reference_finite_loop(instance: MdlInstance, hclass: HypothesisClass,
     meta = {"T": T, "eta_learner": eta_learner, "eta_exp3": eta_exp3,
             "exploration": exploration, "class_size": class_size}
     return RandomizedHypothesis.from_weights(hclass.hypotheses, mean_weights), meta
+
+
+def reference_exp3_step(w: np.ndarray, chosen: int, observed_cost: float, eta: float,
+                        exploration: float) -> np.ndarray:
+    """The Exp3 update on a copy of w, as it ran before it updated in place."""
+    prob = float(w[chosen])
+    if prob <= 0.0:
+        raise ValueError("chosen arm has zero sampling probability")
+    estimate = observed_cost / prob
+    scaled = w.copy()
+    scaled[chosen] *= float(np.exp(-eta * estimate))
+    p = scaled / scaled.sum()
+    return (1.0 - exploration) * p + exploration / len(w)
 
 
 def reference_erm(hclass: HypothesisClass, batch: SampleBatch) -> Hypothesis:

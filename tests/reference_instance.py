@@ -79,10 +79,10 @@ def reference_random_class(spec: InstanceSpec, rng: np.random.Generator) -> Hypo
 def reference_with_member(hclass: HypothesisClass,
                           member: np.ndarray) -> tuple[HypothesisClass, int]:
     key = tuple(int(v) for v in member)
-    for h in hclass:
+    for h in hclass.hypotheses:
         if tuple(int(v) for v in h.labels) == key:
             return hclass, h.id
-    vectors = [key] + [tuple(int(v) for v in h.labels) for h in hclass]
+    vectors = [key] + [tuple(int(v) for v in h.labels) for h in hclass.hypotheses]
     rebuilt = _reference_class(vectors, "explicit")
     return rebuilt, 0
 

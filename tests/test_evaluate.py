@@ -74,7 +74,7 @@ class TestBruteForceOpt:
     @settings(max_examples=25, deadline=None)
     def test_opt_lower_bounds_every_hypothesis(self, inst):
         result = brute_force_opt(inst)
-        for h in inst.hypothesis_class:
+        for h in inst.hypothesis_class.hypotheses:
             assert result.opt_value <= max_loss(inst, h)[0] + 1e-12
 
 

@@ -80,10 +80,19 @@ class TestAgainstReference:
 class TestBlockDrawnUniforms:
     @pytest.mark.parametrize("count", [0, 1, 6, 7, 8, 23])
     def test_pairs_match_scalar_draws(self, count, monkeypatch):
+        # each round's oracle uniform, and every distribution's atom at its
+        # atom uniform, as 2 * count scalar draws would give them
         monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        inst = suite_instance(5)
         ours, theirs = make_rng(8206), make_rng(8206)
-        pairs = list(algos._uniform_pairs(ours, count))
-        assert pairs == [(theirs.random(), theirs.random()) for _ in range(count)]
+        blocks = list(algos._atom_blocks(inst, ours, count))
+        pairs = [(theirs.random(), theirs.random()) for _ in range(count)]
+        assert [(start, len(u)) for start, u, _ in blocks] == [
+            (s, min(7, count - s)) for s in range(0, count, 7)]
+        assert [u for _, block, _ in blocks for u in block] == [u for u, _ in pairs]
+        for i, dist in enumerate(inst.distributions):
+            assert ([a for _, _, atoms in blocks for a in atoms[i]]
+                    == [int(dist.atom_index(u)) for _, u in pairs])
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_reports_identical_across_blocks(self, monkeypatch):
@@ -92,6 +101,93 @@ class TestBlockDrawnUniforms:
         cases = [(f"suite member {s}", suite_instance(s), 0.45, 0.3, 0.3,
                   derive_seed(8207, s)) for s in range(0, 40, 4)]
         _assert_same_as_reference(monkeypatch, cases)
+
+
+class TestCheckStacks:
+    """Each round's weights are checked in stacks of rounds; the stacks' edges
+    change no report, and an error surfaces as the per-round checks raised it."""
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    @pytest.mark.parametrize("edge", ["T < B", "T = B", "T multiple of B", "T = B + 1",
+                                      "B = 1", "stacks straddle blocks"])
+    def test_reports_identical_at_stack_edges(self, edge, record_trace, monkeypatch):
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        inst, seed = suite_instance(3), 8208
+        real_check = algos._check_simplex_rows
+        for run in (run_finite, run_cover_then_finite):
+            T = run(inst, 0.45, 0.3, seed, record_trace=False).config["T"]
+            B = {"T < B": T + 1, "T = B": T,
+                 "T multiple of B": max(b for b in range(2, T) if T % b == 0),
+                 "T = B + 1": T - 1, "B = 1": 1, "stacks straddle blocks": 5}[edge]
+            sizes = []
+
+            def counted(*stacks):
+                sizes.append(len(stacks[0]))
+                real_check(*stacks)
+
+            with monkeypatch.context() as m:
+                m.setattr(algos, "_CHECK_ROWS", B)
+                m.setattr(algos, "_check_simplex_rows", counted)
+                ours = run(inst, 0.45, 0.3, seed, record_trace=record_trace)
+            # full stacks, then the rest at the end (possibly none)
+            assert sizes == [B] * (T // B) + [T % B]
+            with monkeypatch.context() as m:
+                m.setattr(algos, "_finite_loop", reference_finite_loop)
+                theirs = run(inst, 0.45, 0.3, seed, record_trace=record_trace)
+            assert _dumped(ours) == _dumped(theirs), ours.algorithm
+
+    @pytest.mark.parametrize("poison", [np.nan, -0.5])
+    @pytest.mark.parametrize("s", [0, 3, 9, 14])
+    def test_poisoned_factor_row_raises_the_reference_error(self, poison, s, monkeypatch):
+        # every factor row on which hypothesis 1 errs gets `poison` there, in
+        # our cached rows and in the reference's per-round Hedge step alike
+        real_exp = np.exp
+
+        def poisoned(x, *args, **kwargs):
+            out = real_exp(x, *args, **kwargs)
+            if isinstance(out, np.ndarray) and out.ndim == 1 and out.size > 1 and x[1] < 0:
+                out[1] = poison
+            return out
+
+        inst = suite_instance(s)
+        monkeypatch.setattr(np, "exp", poisoned)
+        for run in (run_finite, run_cover_then_finite):
+            with pytest.raises(ValueError) as ours:
+                run(inst, 0.45, 0.3, 8209)
+            with monkeypatch.context() as m:
+                m.setattr(algos, "_finite_loop", reference_finite_loop)
+                with pytest.raises(ValueError) as theirs:
+                    run(inst, 0.45, 0.3, 8209)
+            assert str(ours.value) == str(theirs.value)
+            assert "weights" in str(ours.value)
+
+    def test_a_round_error_waits_for_the_pending_checks(self, monkeypatch):
+        # a round that raises after an unchecked bad round raises the bad
+        # round's error; after good rounds, its own
+        real_step, real_exp = algos._exp3_step, np.exp
+        calls = []
+
+        def failing_step(*args):
+            calls.append(1)
+            if len(calls) == 20:
+                raise RuntimeError("round 20")
+            return real_step(*args)
+
+        def nan_row(x, *args, **kwargs):
+            out = real_exp(x, *args, **kwargs)
+            if isinstance(out, np.ndarray) and len(calls) >= 10:
+                out[0] = np.nan
+            return out
+
+        inst = suite_instance(2)
+        monkeypatch.setattr(algos, "_exp3_step", failing_step)
+        with pytest.raises(RuntimeError, match="round 20"):
+            run_finite(inst, 0.45, 0.3, 8210)
+        calls.clear()
+        monkeypatch.setattr(np, "exp", nan_row)
+        with pytest.raises(ValueError, match="weights sum to nan"):
+            run_finite(inst, 0.45, 0.3, 8210)
+        assert len(calls) == 20
 
 
 class TestMixtureIndex:

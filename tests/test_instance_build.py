@@ -105,7 +105,7 @@ def test_projection_cover_matches_reference(rows):
 def test_constructor_matches_reference(vectors):
     got = HypothesisClass(vectors)
     assert np.array_equal(got.matrix, reference_class_matrix(vectors))
-    assert [h.id for h in got] == list(range(len(got)))
+    assert [h.id for h in got.hypotheses] == list(range(len(got)))
 
 
 def test_saturated_class_dedupes_once(monkeypatch):

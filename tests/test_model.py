@@ -65,7 +65,7 @@ class TestZeroOneLoss:
 class TestExactLoss:
     def test_symmetric_labels(self):
         d = FiniteDistribution([(0, 0, 0.5), (0, 1, 0.5)])
-        for h in _class([0], [1]):
+        for h in _class([0], [1]).hypotheses:
             assert exact_loss(d, h) == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate_correct(self):
@@ -102,7 +102,7 @@ class TestExactLoss:
                                  min_size=len(hclass), max_size=len(hclass)))
         w = np.asarray(raw) / sum(raw)
         mix = RandomizedHypothesis.from_weights(hclass.hypotheses, w)
-        expected = sum(wi * exact_loss(d, h) for h, wi in zip(hclass, w))
+        expected = sum(wi * exact_loss(d, h) for h, wi in zip(hclass.hypotheses, w))
         assert exact_loss(d, mix) == pytest.approx(expected, abs=1e-12)
 
 
@@ -303,7 +303,7 @@ class TestHypothesisClass:
 
     def test_ids_are_positions(self):
         cls = HypothesisClass.thresholds(4)
-        assert [h.id for h in cls] == list(range(len(cls)))
+        assert [h.id for h in cls.hypotheses] == list(range(len(cls)))
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,8 @@ from multidist.online import (
     CostVector,
     SimplexWeights,
     _check_simplex,
+    _check_simplex_rows,
+    _exp3_step,
     _project_capped,
     exp3_step,
     hedge_step_cost,
@@ -25,6 +27,7 @@ from multidist.online import (
     smooth_argmax,
     smooth_cap,
 )
+from reference_finite import reference_exp3_step
 from reference_projection import reference_project_capped
 
 
@@ -64,6 +67,74 @@ class TestCheckSimplex:
     def test_rejects(self, w, cap, message):
         with pytest.raises(ValueError, match=message):
             _check_simplex(np.array(w), cap)
+
+
+def _simplex_rows(rng, rows: int, d: int) -> np.ndarray:
+    stack = rng.random((rows, d)) + 1e-3
+    return stack / stack.sum(axis=1, keepdims=True)
+
+
+def _first_row_error(stacks) -> tuple[type, str] | None:
+    """What one `_check_simplex` call per row raises first, row j of every
+    stack before row j + 1 of any, or None if every row passes."""
+    for j in range(len(stacks[0])):
+        for s in stacks:
+            try:
+                _check_simplex(s[j], None)
+            except ValueError as err:
+                return type(err), str(err)
+    return None
+
+
+class TestCheckSimplexRows:
+    def test_row_reductions_have_the_bits_of_one_row_at_a_time(self):
+        # the loop checks the rows of a learner stack (|H| wide) and of an
+        # adversary stack (k wide), each a leading slice of a larger buffer
+        rng = np.random.default_rng(8301)
+        for d in [*range(1, 65), 100, 255, 256, 257, 1000, 1023, 1024, 5001, 40_000]:
+            for rows in (1, 2, 7, 32, 40):
+                buffer = rng.random((rows + 3, d)) * 10.0 ** rng.uniform(-3, 3, (rows + 3, 1))
+                stack = buffer[:rows]
+                low = np.minimum.reduce(stack, axis=1)
+                total = np.add.reduce(stack, axis=1)
+                for j in range(rows):
+                    assert low[j] == np.minimum.reduce(stack[j])
+                    assert total[j] == np.add.reduce(stack[j])
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7, 8, 16, 64, 1024])
+    def test_a_fault_raises_what_the_first_failing_row_raises(self, d):
+        rng = np.random.default_rng(8302 + d)
+        raised = 0
+        for _ in range(150):
+            rows = int(rng.integers(1, 41))
+            stacks = [_simplex_rows(rng, rows, d),
+                      _simplex_rows(rng, rows, int(rng.integers(1, 65)))]
+            for _ in range(int(rng.integers(0, 4))):
+                s = stacks[int(rng.integers(2))]
+                j, i = int(rng.integers(rows)), int(rng.integers(s.shape[1]))
+                fault = int(rng.integers(4))
+                if fault == 0:
+                    s[j, i] = np.nan
+                elif fault == 1:
+                    s[j, i] = -np.inf
+                elif fault == 2:  # a negative entry, its mass moved to the next
+                    below = rng.choice([5e-324, 1e-300, 0.25])
+                    s[j, (i + 1) % s.shape[1]] += s[j, i] + below
+                    s[j, i] = -below
+                else:
+                    s[j] *= 1.0 + 1e-6
+            expected = _first_row_error(stacks)
+            if expected is None:
+                _check_simplex_rows(*stacks)
+                continue
+            raised += 1
+            with pytest.raises(expected[0]) as info:
+                _check_simplex_rows(*stacks)
+            assert str(info.value) == expected[1]
+        assert 50 < raised < 150  # both outcomes occur
+
+    def test_no_rows_pass(self):
+        _check_simplex_rows(np.empty((0, 5)), np.empty((0, 3)))
 
 
 class TestHedgeCost:
@@ -341,6 +412,23 @@ class TestExp3:
         w = SimplexWeights(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             exp3_step(w, 1, 0.5, eta=0.1, exploration=0.0)
+
+    def test_in_place_step_has_the_bits_of_the_copying_step(self):
+        rng = np.random.default_rng(8303)
+        for _ in range(20_000):
+            k = int(rng.integers(1, 65))
+            w = _simplex_rows(rng, 1, k)[0]
+            chosen = int(rng.integers(k))
+            cost, eta, exploration = rng.random(), rng.random(), rng.random()
+            expected = reference_exp3_step(w, chosen, cost, eta, exploration)
+            got = w.copy()
+            assert _exp3_step(got, chosen, cost, eta, exploration) is got
+            assert got.tobytes() == expected.tobytes()
+
+    def test_public_step_leaves_its_input(self):
+        w = SimplexWeights(np.array([0.25, 0.75]))
+        exp3_step(w, 0, 1.0, eta=0.5, exploration=0.1)
+        assert w.w.tolist() == [0.25, 0.75]
 
 
 def _capped_vertices(d: int, cap: float):
