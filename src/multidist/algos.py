@@ -14,33 +14,37 @@ steps that the public wrappers (``mixture_sample``, ``oracle_sample``,
 oracle with ``model._mixture_index``.  Each loop checks every round what
 those wrappers would check: the mid estimate lies in [0, k], the finite
 loop's observed cost lies in [0, 1], and both weight vectors are
-nonnegative, sum to 1 and respect the adversary's cap.  The finite loop
-checks every round's weights in blocks of ``_CHECK_ROWS`` rounds
-(``online._check_simplex_rows``), and before any error a later round
-raises, so the first failing round raises the error it raised alone.
-Learning rates are constant, so they are checked once, before the loop.
+nonnegative, sum to 1 and respect the adversary's cap.  The estimate and
+the cost are checked every round; both loops write each round's learner
+and adversary into stacks of rows and check the stacks every
+``_CHECK_ROWS`` rounds (``online._check_simplex_rows``, with the cap on
+the mid adversary's rows), and before any error a later round raises, so
+the first failing round raises the error it raised alone.  Learning rates
+are constant, so they are checked once, before the loop.
 
 Per run, both loops compute the learner's Hedge factor row of each drawn
-(point, label) once (the finite loop also keeps its 0/1 cost row).  The mid
-loop reuses the totals its simplex checks return: the adversary's total
-normalizes the next round's mixture, and the learner's total normalizes its
-prediction at the adversary's point while every learner weight is positive.
-Its adversary's estimate is one-hot, so the Hedge step scales the chosen
-weight alone before the capped projection, and a projection that clamps
-nothing hands its maximum to the cap check.  Both loops take their
-randomness in blocks of ``_PAIR_BLOCK`` rounds: the finite loop draws its
-two uniforms per round (oracle, then atom) and looks up every
-distribution's atom at the block's atom uniforms, so a round reads its atom
-by index and Exp3 updates in place; the mid loop decodes its four (the
-mixture's oracle and atom, the estimate's uniform oracle and atom) with
-``model._round_draws``.  The estimate's query does not depend on the game,
-so the mid loop draws a block's estimate queries at once, one batch per
-oracle, and reads the learner's labels at each drawn point as a row of the
-transposed subclass matrix.  All of these give the bits the public steps
-give.  The fast loop keeps its public steps, since its cost is the ERM
-scan.  The object-level loops these replaced are kept in
-``tests/reference_mid.py`` and ``tests/reference_finite.py``, and the tests
-require identical reports.
+(point, label) once (the finite loop also keeps its 0/1 cost row), and
+scale and normalize the learner in place, in its row of the check stack.
+The mid loop takes the learner's minimum and total and the adversary's
+total every round, the bits ``_check_simplex`` returns: the adversary's
+total normalizes the next round's mixture, and the learner's total
+normalizes its prediction at the adversary's point while every learner
+weight is positive.  Its adversary's estimate is one-hot, so the Hedge step
+scales the chosen weight alone before the capped projection.  Both loops
+take their randomness in blocks of ``_PAIR_BLOCK`` rounds and ledger each
+block's per-oracle counts at once: the finite loop draws its two uniforms
+per round (oracle, then atom) and looks up every distribution's atom at the
+block's atom uniforms, so a round reads its atom by index and Exp3 updates
+in place; the mid loop decodes its four (the mixture's oracle and atom, the
+estimate's uniform oracle and atom) with ``model._round_draws`` and looks
+the mixture's atom up per round with ``atom_index`` on a float.  The
+estimate's query does not depend on the game, so the mid loop draws a
+block's estimate queries at once, one batch per oracle, and reads the
+learner's labels at each drawn point as a row of the transposed subclass
+matrix.  All of these give the bits the public steps give.  The fast loop
+keeps its public steps, since its cost is the ERM scan.  The object-level
+loops these replaced are kept in ``tests/reference_mid.py`` and
+``tests/reference_finite.py``, and the tests require identical reports.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ from multidist.model import (
     MdlInstance,
     RandomizedHypothesis,
     SampleLedger,
-    _draw,
     _draws,
     _label_loss,
     _mixture_index,
@@ -103,10 +106,11 @@ _RATE_FLOOR = 1e-9
 _RATE_CEIL = 0.5
 
 # Rounds whose randomness the finite and mid loops draw at once: memory stays
-# O(1) in T (a k = 64, eps = 0.01 run has T near 15 million).  The finite
-# loop checks its weights in stacks of _CHECK_ROWS rounds, 256 KB at most.
+# O(1) in T (a k = 64, eps = 0.01 run has T near 15 million).  Both loops
+# check their weights in stacks of at most _CHECK_ROWS rounds, and of at most
+# _CHECK_ENTRIES learner weights (256 KB): 32 rounds at |H| = 1024.
 _PAIR_BLOCK = 4096
-_CHECK_ROWS, _CHECK_ENTRIES = 32, 32_768
+_CHECK_ROWS, _CHECK_ENTRIES = 128, 32_768
 
 # A schedule of more queries (about 130 times the T of that k = 64 run) would
 # run for days or exhaust memory, so a run checks its budget before drawing.
@@ -511,7 +515,8 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
 
     # Plain arrays, with the public steps' RNG calls and arithmetic in their
     # order (see the module docstring).  The rates and the cap are constant,
-    # so they are checked once, here; the estimate and the weights every round.
+    # so they are checked once, here; the estimate every round, and every
+    # round's weights in stacks, as in the finite loop.
     cap, eta_adversary = sched["cap"], sched["eta_adversary"]
     _check_eta(eta_learner)
     _check_eta(eta_adversary)
@@ -520,48 +525,68 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     learner_min, learner_total = _check_simplex(learner, None)
     _, adversary_total = _check_simplex(adversary, cap)
     # The learner's Hedge factors at a drawn (point, label) are the same
-    # every time it is drawn, so each row is computed once.  A point's
-    # labels under the learner's hypotheses are one row of the transpose.
+    # every time it is drawn, so each row is computed once; keys[i][a] is
+    # distribution i's atom a.  A point's labels under the learner's
+    # hypotheses are one row of the transpose, as floats for the products.
     factor_rows: dict[tuple[int, int], np.ndarray] = {}
-    labels_at = np.ascontiguousarray(matrix.T)
+    dists = instance.distributions
+    keys = [list(zip(dist.points.tolist(), dist.labels.tolist())) for dist in dists]
+    labels_at = np.ascontiguousarray(matrix.T, dtype=np.float64)
     mean_weights = np.zeros(len(sub))
+    check_rows = max(1, min(_CHECK_ROWS, _CHECK_ENTRIES // len(sub)))
+    learner_rows, adversary_rows = (np.empty((check_rows, width)) for width in (len(sub), k))
+    pending = 0
     trace: list[dict] = []
     T = sched["T"]
-    for start in range(0, T, _PAIR_BLOCK):
-        count = min(_PAIR_BLOCK, T - start)
-        u_oracle, u_atom, chosen_block, u_estimate = _round_draws(rng, k, count)
-        # The estimate's query (a uniform oracle, then an atom of it) does not
-        # depend on the game, so the block's queries are drawn at once.
-        points, labels = _draws(instance, chosen_block, u_estimate, ledger)
-        for t, u1, u2, chosen, x2, y2 in zip(
-                range(start, start + count), u_oracle.tolist(), u_atom.tolist(),
-                chosen_block.tolist(), points.tolist(), labels.tolist()):
-            mean_weights += learner
-            atom = _draw(instance, _mixture_index(adversary / adversary_total, u1),
-                         u2, ledger)
-            if atom not in factor_rows:
-                factor_rows[atom] = np.exp(-eta_learner * (matrix[:, atom[0]] != atom[1]))
-            # with every weight positive, the mask would keep them all, so the
-            # checked total is the normalizer
-            p1 = _prediction_at(learner, labels_at[x2],
-                                learner_total if learner_min > 0 else None)
-            value = _estimate_value(_label_loss(p1, y2), k, float(adversary[chosen]),
-                                    estimator)
-            if not -SUM_TOL <= value <= k + SUM_TOL:
-                raise ValueError(f"adversary estimate {value!r} outside [0, {k}]")
-            if record_trace:
-                trace.append({"t": t, "adversary": adversary.tolist(),
-                              "learner_id": int(np.argmax(learner)),
-                              "chosen": chosen, "estimate": value})
-            scaled = learner * factor_rows[atom]
-            learner = scaled / np.add.reduce(scaled)
-            # The estimate is one-hot: every other coordinate's factor is
-            # exp(-0.0) = 1, so only the chosen weight is scaled.
-            scaled = adversary.copy()
-            scaled[chosen] *= np.exp(-eta_adversary * value)
-            adversary, high = _project_capped(scaled, cap)
-            learner_min, learner_total = _check_simplex(learner, None)
-            _, adversary_total = _check_simplex(adversary, cap, high)
+    try:
+        for start in range(0, T, _PAIR_BLOCK):
+            count = min(_PAIR_BLOCK, T - start)
+            u_oracle, u_atom, chosen_block, u_estimate = _round_draws(rng, k, count)
+            # The estimate's query (a uniform oracle, then an atom of it) does
+            # not depend on the game, so the block's queries are drawn at once.
+            points, labels = _draws(instance, chosen_block, u_estimate, ledger)
+            counts = [0] * k
+            for t, u1, u2, chosen, x2, y2 in zip(
+                    range(start, start + count), u_oracle.tolist(), u_atom.tolist(),
+                    chosen_block.tolist(), points.tolist(), labels.tolist()):
+                mean_weights += learner
+                i = _mixture_index(adversary / adversary_total, u1)
+                counts[i] += 1
+                atom = keys[i][dists[i].atom_index(u2)]
+                if atom not in factor_rows:
+                    factor_rows[atom] = np.exp(-eta_learner * (matrix[:, atom[0]] != atom[1]))
+                # with every weight positive, the mask would keep them all, so
+                # the learner's total is the normalizer
+                p1 = _prediction_at(learner, labels_at[x2],
+                                    learner_total if learner_min > 0 else None)
+                value = _estimate_value(_label_loss(p1, y2), k, float(adversary[chosen]),
+                                        estimator)
+                if not -SUM_TOL <= value <= k + SUM_TOL:
+                    raise ValueError(f"adversary estimate {value!r} outside [0, {k}]")
+                if record_trace:
+                    trace.append({"t": t, "adversary": adversary.tolist(),
+                                  "learner_id": int(np.argmax(learner)),
+                                  "chosen": chosen, "estimate": value})
+                scaled = np.multiply(learner, factor_rows[atom], out=learner_rows[pending])
+                learner = np.divide(scaled, np.add.reduce(scaled), out=scaled)
+                # The estimate is one-hot: every other coordinate's factor is
+                # exp(-0.0) = 1, so only the chosen weight is scaled.
+                scaled = adversary.copy()
+                scaled[chosen] *= np.exp(-eta_adversary * value)
+                adversary = _project_capped(scaled, cap)
+                adversary_rows[pending] = adversary
+                # the bits _check_simplex returns, for the next round
+                learner_min = float(np.minimum.reduce(learner))
+                learner_total = float(np.add.reduce(learner))
+                adversary_total = float(np.add.reduce(adversary))
+                pending += 1
+                if pending == check_rows:
+                    pending = 0
+                    _check_simplex_rows(learner_rows, adversary_rows, cap=cap)
+            for i, n in enumerate(counts):
+                ledger.record(i, n)
+    finally:  # the last rounds, or those before the round that raised
+        _check_simplex_rows(learner_rows[:pending], adversary_rows[:pending], cap=cap)
     mean_weights /= T
     config = {"epsilon": epsilon, "delta": delta, "constants": cons,
               "estimator": estimator, "vc_dim": d, "eta_learner": eta_learner,

@@ -9,11 +9,13 @@ Every class is built from one 0/1 matrix; ``first_distinct_rows`` is the
 one row dedupe, for classes and for ``cover.projection_cover`` alike.  It
 packs each row into bytes and sorts one opaque key per row.
 
-The private draws (``_draw``, ``_mixture_index``, ``_mixture_draw``) are
-what the dynamics loops call every round; the public oracles validate their
-arguments and then call them.  The private draws take their uniforms as
-arguments, one scalar ``rng.random()`` each (the same double and generator
-state as ``rng.random(1)``), so a loop may also draw them in blocks.
+The public oracles validate their arguments and then call the private
+draws (``_draw``, ``_mixture_index``, ``_mixture_draw``); the dynamics loops
+call ``_mixture_index`` every round, look atoms up with ``atom_index``
+directly and ledger a block of rounds' draws at once.  The private draws
+take their uniforms as arguments, one scalar ``rng.random()`` each (the
+same double and generator state as ``rng.random(1)``), so a loop may also
+draw them in blocks.
 ``_mixture_index`` repeats the arithmetic of ``rng.choice(k, p=p)``, so a
 loop that uses it draws the same oracles from the same generator state.
 ``_round_draws`` decodes, from one block of raw PCG64 words, what a mid
@@ -22,17 +24,19 @@ round's four scalar calls (``random``, ``random``, ``integers(k)``,
 leaves the generator where those calls would; ``_draws`` looks up a batch
 of atoms from given oracles at given uniforms, one lookup per oracle.
 Every atom, scalar or batched, is looked up by one inverse-CDF method,
-``FiniteDistribution.atom_index``.  The VC search is brute force over the
-subsets in ``itertools.combinations`` order; it keeps the label codes of
-each prefix of the current subset, so a subset costs one add, and tests
-shattering by counting the distinct codes with ``np.bincount``.  The
-versions these three kernels replaced (and the old distribution checks)
-are kept in ``tests/reference_kernels.py``.
+``FiniteDistribution.atom_index``: a float by ``bisect_right`` on a list
+copy of the CDF, an array by ``searchsorted``.  The VC search is brute
+force over the subsets in ``itertools.combinations`` order; it keeps the
+label codes of each prefix of the current subset, so a subset costs one
+add, and tests shattering by counting the distinct codes with
+``np.bincount``.  The versions these three kernels replaced (and the old
+distribution checks) are kept in ``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -105,7 +109,7 @@ class FiniteDistribution:
     (1.0) counts as its integer, any other value is rejected, not rounded.
     """
 
-    __slots__ = ("points", "labels", "probs", "_cdf")
+    __slots__ = ("points", "labels", "probs", "_cdf", "_cdf_list")
 
     def __init__(self, mass: Iterable[tuple[int, int, float]]):
         atoms = list(mass)
@@ -129,6 +133,7 @@ class FiniteDistribution:
         # index would give, without the clamp.
         self._cdf = np.cumsum(self.probs)
         self._cdf[-1] = np.inf
+        self._cdf_list = self._cdf.tolist()
 
     @property
     def support_size(self) -> int:
@@ -145,7 +150,11 @@ class FiniteDistribution:
 
     def atom_index(self, u: float | np.ndarray):
         """Inverse-CDF index of the atom at the uniform u in [0, 1), or the
-        indices at an array of uniforms; every draw looks atoms up here."""
+        indices at an array of uniforms; every draw looks atoms up here.
+        A float is bisected in a list copy of the CDF: ``bisect_right`` finds
+        the index ``searchsorted(side="right")`` does, without an array call."""
+        if isinstance(u, float):
+            return bisect_right(self._cdf_list, u)
         return self._cdf.searchsorted(u, side="right")
 
     def draw_indices(self, count: int, rng: np.random.Generator) -> np.ndarray:

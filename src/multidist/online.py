@@ -11,13 +11,14 @@ capped comparators.
 The unchecked private steps (``_check_simplex``, ``_project_capped``,
 ``_exp3_step``) are what the dynamics loops in ``algos`` call every round;
 the loops do the plain Hedge multiply themselves, on cached factor rows.
-``_check_simplex`` returns the minimum and the total it computes, so a loop
-can reuse them instead of summing again; ``_check_simplex_rows`` applies it
-to stacks of rows at once.  ``_project_capped`` returns the
-normalized vector at once when its maximum is within the cap, and hands
-that maximum on for the cap check; otherwise each clamping pass works on
-the index array of the coordinates still free (the masked pass it
-replaced is kept in ``tests/reference_projection.py``).
+``_check_simplex`` returns the minimum and the total it computes, so a caller
+can reuse them instead of summing again; the loops check their weights with
+``_check_simplex_rows``, which applies its predicates, cap included, to
+stacks of rows at once and hands the first failing row to
+``_check_simplex`` for its error.  ``_project_capped`` returns the
+normalized vector at once when its maximum is within the cap; otherwise
+each clamping pass works on the index array of the coordinates still free
+(the masked pass it replaced is kept in ``tests/reference_projection.py``).
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ import numpy as np
 from multidist.model import SUM_TOL
 
 
-def _check_simplex(w: np.ndarray, cap: float | None,
-                   high: float | None = None) -> tuple[float, float]:
+def _check_simplex(w: np.ndarray, cap: float | None) -> tuple[float, float]:
     """Raise unless w is nonnegative, sums to 1 and stays at or below cap.
 
     Returns the minimum and the total it computed (``np.add.reduce``, the
-    same bits as ``w.sum()``), for a loop to reuse.  A caller that already
-    has w's maximum may pass it as `high` for the cap test.  The sum test is
+    same bits as ``w.sum()``), for a caller to reuse.  The sum test is
     written so that a NaN sum fails it.
     """
     low = float(np.minimum.reduce(w))
@@ -46,24 +45,30 @@ def _check_simplex(w: np.ndarray, cap: float | None,
     total = float(np.add.reduce(w))
     if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
-    if cap is not None:
-        if high is None:
-            high = float(np.maximum.reduce(w))
-        if high > cap + SUM_TOL:
-            raise ValueError("weight exceeds declared cap")
+    if cap is not None and float(np.maximum.reduce(w)) > cap + SUM_TOL:
+        raise ValueError("weight exceeds declared cap")
     return low, total
 
 
-def _check_simplex_rows(*stacks: np.ndarray) -> None:
-    """:func:`_check_simplex` (uncapped) on rows of C-contiguous 2-D stacks,
-    row j of each before row j + 1 of any; axis-1 reductions give each row
-    its own bits, and the first failing row raises its usual error."""
-    failing = np.logical_or.reduce([
-        (np.minimum.reduce(s, axis=1) < 0)
-        | ~(np.abs(np.add.reduce(s, axis=1) - 1.0) <= SUM_TOL) for s in stacks])
+def _check_simplex_rows(*stacks: np.ndarray, cap: float | None = None) -> None:
+    """:func:`_check_simplex` on rows of C-contiguous 2-D stacks, row j of each
+    before row j + 1 of any; a `cap` binds the rows of the last stack alone.
+    Axis-1 reductions give each row its own bits, and the first failing row
+    raises its usual error."""
+    caps = [None] * (len(stacks) - 1) + [cap]
+    failing = np.logical_or.reduce([_failing_rows(s, c) for s, c in zip(stacks, caps)])
     for j in np.flatnonzero(failing)[:1].tolist():
-        for s in stacks:
-            _check_simplex(s[j], None)
+        for s, c in zip(stacks, caps):
+            _check_simplex(s[j], c)
+
+
+def _failing_rows(stack: np.ndarray, cap: float | None) -> np.ndarray:
+    """Which rows of `stack` :func:`_check_simplex` would reject."""
+    bad = ((np.minimum.reduce(stack, axis=1) < 0)
+           | ~(np.abs(np.add.reduce(stack, axis=1) - 1.0) <= SUM_TOL))
+    if cap is not None:
+        bad |= np.maximum.reduce(stack, axis=1) > cap + SUM_TOL
+    return bad
 
 
 def _check_cap(cap: float, d: int) -> None:
@@ -138,26 +143,24 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"learning rate must be positive and finite, got {eta}")
 
 
-def _project_capped(v: np.ndarray, cap: float) -> tuple[np.ndarray, float | None]:
-    """The projection of :func:`project_capped`, without input checks, and
-    its maximum when no coordinate was clamped (else None), for the cap
-    test of :func:`_check_simplex`.
+def _project_capped(v: np.ndarray, cap: float) -> np.ndarray:
+    """The projection of :func:`project_capped`, without input checks.
 
-    Each clamping pass keeps the indices of the coordinates still free:
+    A normalized v within the cap is its own projection.  Otherwise each
+    clamping pass keeps the indices of the coordinates still free:
     every other coordinate is at the cap, and the free ones share the
     residual mass in proportion to v.
     """
     w = v / np.add.reduce(v)
-    high = float(np.maximum.reduce(w))
-    if high <= cap:
-        return w, high
+    if float(np.maximum.reduce(w)) <= cap:
+        return w
     free = np.flatnonzero(w <= cap)
     while True:  # each pass clamps at least one more coordinate
         residual = 1.0 - cap * (len(v) - len(free))
         w = np.full(len(v), cap)
         if not (residual > 0 and len(free)):
             w[free] = 0.0
-            return w, None
+            return w
         source = v[free]
         src_total = float(source.sum())
         if src_total > 0:
@@ -169,7 +172,7 @@ def _project_capped(v: np.ndarray, cap: float) -> tuple[np.ndarray, float | None
         w[free] = share
         under = share <= cap
         if under.all():
-            return w, None
+            return w
         free = free[under]
 
 
@@ -188,7 +191,7 @@ def project_capped(raw: Sequence[float], cap: float) -> SimplexWeights:
     if float(v.sum()) <= 0:
         raise ValueError("input must not be all zero")
     _check_cap(cap, d)
-    return SimplexWeights(_project_capped(v, cap)[0], cap=cap)
+    return SimplexWeights(_project_capped(v, cap), cap=cap)
 
 
 def hedge_step_cost(w: SimplexWeights, costs: CostVector | Sequence[float],
@@ -202,7 +205,7 @@ def hedge_step_cost(w: SimplexWeights, costs: CostVector | Sequence[float],
     scaled = w.w * np.exp(-eta * c)
     if w.cap is None:
         return SimplexWeights(scaled / scaled.sum())
-    return SimplexWeights(_project_capped(scaled, w.cap)[0], cap=w.cap)
+    return SimplexWeights(_project_capped(scaled, w.cap), cap=w.cap)
 
 
 def hedge_step_payoff(w: SimplexWeights, payoffs: CostVector | Sequence[float],

@@ -224,8 +224,8 @@ class TestSolve:
         def never(*args, **kwargs):
             raise AssertionError("the run drew before its query guard")
 
-        for name in ("mixture_sample_many", "oracle_sample_many", "_draw",
-                     "_round_draws", "_atom_blocks"):
+        for name in ("mixture_sample_many", "oracle_sample_many", "_round_draws",
+                     "_atom_blocks"):
             monkeypatch.setattr(algos, name, never)
         out = tmp_path / "r.json"
         start = time.perf_counter()

@@ -22,6 +22,8 @@ from multidist.model import (
     derive_seed,
     make_rng,
 )
+import multidist.online
+import reference_mid
 from multidist.online import _check_simplex
 from reference_mid import reference_run_mid
 
@@ -126,6 +128,172 @@ class TestAcrossBlocks:
             assert _same(a, b), f"instance {s}"
         sizes = [rec["active_size"] for rep in ours for rec in rep.config["inner"]]
         assert 1 in sizes
+
+
+class TestCheckStacks:
+    """Each round's weights are checked in stacks of rounds; the stacks' edges
+    change no report, and a fault raises what the per-round checks raised,
+    for the same round."""
+
+    @pytest.mark.parametrize("edge", ["T < B", "T = B", "T = B + 1",
+                                      "stacks straddle blocks"])
+    def test_reports_identical_at_stack_edges(self, edge, monkeypatch):
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        real_check = algos._check_simplex_rows
+        for s in (3, 10):
+            inst, seed = suite_instance(s), derive_seed(8111, s)
+            T = run_mid(inst, 0.45, 0.3, seed, record_trace=False).config["T"]
+            B = {"T < B": T + 1, "T = B": T, "T = B + 1": T - 1,
+                 "stacks straddle blocks": 5}[edge]
+            sizes = []
+
+            def counted(*stacks, cap=None):
+                sizes.append(len(stacks[0]))
+                real_check(*stacks, cap=cap)
+
+            for estimator in algos.ESTIMATORS:
+                sizes.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(algos, "_CHECK_ROWS", B)
+                    m.setattr(algos, "_check_simplex_rows", counted)
+                    ours = run_mid(inst, 0.45, 0.3, seed, estimator=estimator)
+                # full stacks, then the rest at the end (possibly none)
+                assert sizes == [B] * (T // B) + [T % B]
+                theirs = reference_run_mid(inst, 0.45, 0.3, seed, estimator=estimator)
+                assert _same(ours, theirs), f"suite member {s}, {estimator}"
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_personalized_identical_with_small_stacks(self, rows, monkeypatch):
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(algos, "_CHECK_ROWS", rows)
+
+        def runs():
+            return [run_personalized(suite_instance(s), 0.45, 0.3, derive_seed(8112, s))
+                    for s in (2, 4, 9)]
+
+        ours = runs()
+        monkeypatch.setattr(algos, "run_mid", reference_run_mid)
+        for a, b in zip(ours, runs()):
+            assert _same(a, b)
+
+    @staticmethod
+    def _failing_round(monkeypatch, run) -> tuple[str, int, int]:
+        """The error `run` raises, the round whose weights raised it, and
+        the rounds begun by then, counted by the mixture draw each loop
+        makes first in a round; ours finds the round from the stack that
+        failed."""
+        real_check, real_index = algos._check_simplex_rows, algos._mixture_index
+        real_sample = reference_mid.mixture_sample
+        seen = {"checked": 0, "failed": None, "begun": 0}
+
+        def counted_check(*stacks, cap=None):
+            try:
+                real_check(*stacks, cap=cap)
+            except ValueError:
+                seen["failed"] = seen["checked"] + next(
+                    j for j in range(len(stacks[0]))
+                    if _raises(stacks[0][j], None) or _raises(stacks[1][j], cap))
+                raise
+            seen["checked"] += len(stacks[0])
+
+        def counted_index(*args):
+            seen["begun"] += 1
+            return real_index(*args)
+
+        def counted_sample(*args):
+            seen["begun"] += 1
+            return real_sample(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(algos, "_check_simplex_rows", counted_check)
+            m.setattr(algos, "_mixture_index", counted_index)
+            m.setattr(reference_mid, "mixture_sample", counted_sample)
+            with pytest.raises(ValueError) as info:
+                run()
+        if seen["failed"] is None:  # the reference raised in its round
+            return str(info.value), seen["begun"] - 1, seen["begun"]
+        return str(info.value), seen["failed"], seen["begun"]
+
+    @pytest.mark.parametrize("estimator", algos.ESTIMATORS)
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    def test_a_nan_learner_raises_the_reference_error(self, s, estimator, monkeypatch):
+        # every learner factor row on which hypothesis 1 errs gets a NaN
+        # there, in our cached rows and in the reference's per-round Hedge
+        # step alike; the learner's rows are |sub| wide, the adversary's k
+        inst, seed = suite_instance(s), derive_seed(8113, s)
+        width = run_mid(inst, 0.45, 0.3, seed, record_trace=False).config["cover_behaviors"]
+        assert width not in (1, inst.k)
+        real_exp = np.exp
+
+        def poisoned(x, *args, **kwargs):
+            out = real_exp(x, *args, **kwargs)
+            if isinstance(out, np.ndarray) and out.size == width and x[1] < 0:
+                out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(np, "exp", poisoned)
+        theirs = self._failing_round(monkeypatch, lambda: reference_run_mid(
+            inst, 0.45, 0.3, seed, estimator=estimator))
+        # the stack's middle row: the rows before it pass, later rounds run
+        bad = theirs[1]
+        assert bad >= 1
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(algos, "_CHECK_ROWS", bad + 2)
+        ours = self._failing_round(monkeypatch, lambda: run_mid(
+            inst, 0.45, 0.3, seed, estimator=estimator))
+        assert ours[:2] == theirs[:2] == ("weights sum to nan, not 1", bad)
+        assert ours[2] > bad + 1  # the error came from the stack, rounds later
+
+    @pytest.mark.parametrize("estimator", algos.ESTIMATORS)
+    @pytest.mark.parametrize("fault, message", [
+        ("negative", "weights must be nonnegative"),
+        ("over cap", "weight exceeds declared cap"),
+    ])
+    @pytest.mark.parametrize("s, at", [(1, 10), (3, 58), (9, 130), (1, 244)])
+    def test_a_bad_adversary_raises_the_reference_error(self, s, at, fault, message,
+                                                        estimator, monkeypatch):
+        # round `at` projects the adversary onto a vector that fails one
+        # check: in the middle of a stack of 4, or in the last round
+        inst, seed = suite_instance(s), derive_seed(8114, s)
+        T = run_mid(inst, 0.45, 0.3, seed, record_trace=False).config["T"]
+        real_project = algos._project_capped
+
+        def faulty(v, cap):
+            w = real_project(v, cap)
+            calls.append(1)
+            if len(calls) - 1 != at:
+                return w
+            w = w * 0.1  # the sum stays 1 in both faults
+            if fault == "negative":
+                w[1] += w[0] + 0.9 + 1e-3
+                w[0] = -1e-3
+            else:  # the cap is at most 2/3 for k >= 3
+                w[0] += 0.9
+            return w
+
+        calls: list[int] = []
+        monkeypatch.setattr(multidist.online, "_project_capped", faulty)
+        theirs = self._failing_round(monkeypatch, lambda: reference_run_mid(
+            inst, 0.45, 0.3, seed, estimator=estimator))
+        calls.clear()
+        monkeypatch.setattr(algos, "_project_capped", faulty)
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(algos, "_CHECK_ROWS", 4)
+        ours = self._failing_round(monkeypatch, lambda: run_mid(
+            inst, 0.45, 0.3, seed, estimator=estimator))
+        assert ours[:2] == theirs[:2] == (message, at)
+        if at == T - 1:  # checked after the loop, in a stack cut to one row
+            assert T % 4 == 1 and ours[2] == T
+        else:
+            assert 0 < at % 4 < 3 and ours[2] > at + 1
+
+
+def _raises(w: np.ndarray, cap: float | None) -> bool:
+    try:
+        _check_simplex(w, cap)
+    except ValueError:
+        return True
+    return False
 
 
 def _scalar_rounds(rng, k: int, count: int) -> list[tuple]:

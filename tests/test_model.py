@@ -148,6 +148,33 @@ class TestInverseCdf:
         assert int(d.atom_index(last)) == 10
         assert int(d.atom_index(np.nextafter(last, 0.0))) == 9
 
+    def test_bisected_float_matches_searchsorted(self):
+        # random CDFs with zero masses and one-atom distributions, at every
+        # edge and the doubles beside it, at 0.0 and at the largest double
+        # below 1; the +inf last edge is rebuilt here, not read back
+        rng = make_rng(8401)
+        below_one = np.nextafter(1.0, 0.0)
+        for size in [1] * 20 + [int(s) for s in rng.integers(2, 41, 400)]:
+            probs = rng.random(size) * 10.0 ** rng.uniform(-8, 0, size)
+            probs[rng.random(size) < 0.2] = 0.0
+            probs[rng.integers(size)] += 0.5
+            probs /= probs.sum()
+            d = FiniteDistribution([(x, 0, p) for x, p in enumerate(probs)])
+            cdf = np.cumsum(d.probs)
+            edges = cdf[cdf < 1.0]
+            u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                                [0.0, below_one], rng.random(20)])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            cdf[-1] = np.inf
+            expected = np.searchsorted(cdf, u, side="right").tolist()
+            ours = [d.atom_index(x) for x in u.tolist()]
+            assert all(type(i) is int for i in ours)
+            assert ours == expected
+            assert d.atom_index(u).tolist() == expected
+            assert [int(d.atom_index(x)) for x in u] == expected  # numpy doubles
+            if size == 1:
+                assert set(ours) == {0}
+
     @given(d=distributions(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_scalar_draw_matches_one_element_batch(self, d, seed):

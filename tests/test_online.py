@@ -74,16 +74,24 @@ def _simplex_rows(rng, rows: int, d: int) -> np.ndarray:
     return stack / stack.sum(axis=1, keepdims=True)
 
 
-def _first_row_error(stacks) -> tuple[type, str] | None:
+def _first_row_error(stacks, cap: float | None = None) -> tuple[type, str] | None:
     """What one `_check_simplex` call per row raises first, row j of every
-    stack before row j + 1 of any, or None if every row passes."""
+    stack before row j + 1 of any, or None if every row passes; `cap` binds
+    the last stack's rows."""
     for j in range(len(stacks[0])):
-        for s in stacks:
+        for i, s in enumerate(stacks):
             try:
-                _check_simplex(s[j], None)
+                _check_simplex(s[j], cap if i == len(stacks) - 1 else None)
             except ValueError as err:
                 return type(err), str(err)
     return None
+
+
+def _capped_rows(rng, rows: int, k: int) -> np.ndarray:
+    """Rows on the simplex with every entry at most 2 / k: entries drawn
+    from [1, 2) sum to at least k."""
+    stack = rng.random((rows, k)) + 1.0
+    return stack / stack.sum(axis=1, keepdims=True)
 
 
 class TestCheckSimplexRows:
@@ -135,6 +143,66 @@ class TestCheckSimplexRows:
 
     def test_no_rows_pass(self):
         _check_simplex_rows(np.empty((0, 5)), np.empty((0, 3)))
+        _check_simplex_rows(np.empty((0, 5)), np.empty((0, 3)), cap=0.5)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 16, 64, 1024])
+    def test_a_capped_fault_raises_what_the_first_failing_row_raises(self, d):
+        # the mid loop's call: a learner stack, then an adversary stack whose
+        # rows must also stay at or below the cap
+        rng = np.random.default_rng(8303 + d)
+        raised = {"cap": 0, "other": 0}
+        for _ in range(150):
+            rows, k = int(rng.integers(1, 41)), int(rng.integers(3, 65))
+            cap = 2.0 / k
+            stacks = [_simplex_rows(rng, rows, d), _capped_rows(rng, rows, k)]
+            for _ in range(int(rng.integers(0, 4))):
+                s = stacks[int(rng.integers(2))]
+                j, i = int(rng.integers(rows)), int(rng.integers(s.shape[1]))
+                fault = int(rng.integers(4))
+                if fault == 0:
+                    s[j, i] = np.nan
+                elif fault == 1:
+                    s[j, i] = -1e-300
+                elif fault == 2:
+                    s[j] *= 1.0 + 1e-6
+                else:  # mass moved onto one entry: the sum stays 1
+                    s[j] *= 0.5
+                    s[j, i] += 0.5
+            expected = _first_row_error(stacks, cap)
+            if expected is None:
+                _check_simplex_rows(*stacks, cap=cap)
+                continue
+            raised["cap" if "cap" in expected[1] else "other"] += 1
+            with pytest.raises(expected[0]) as info:
+                _check_simplex_rows(*stacks, cap=cap)
+            assert str(info.value) == expected[1]
+        assert raised["cap"] > 5 and raised["other"] > 5
+
+    def test_a_row_over_the_cap_alone_raises_the_cap_error(self):
+        rng = np.random.default_rng(8304)
+        adversary = _capped_rows(rng, 6, 8)
+        adversary[3] = [0.5] + [0.5 / 7] * 7
+        learner = _simplex_rows(rng, 6, 5)
+        _check_simplex_rows(learner, adversary)  # uncapped, as the finite loop calls it
+        # the cap binds the last stack alone
+        _check_simplex_rows(adversary, _capped_rows(rng, 6, 8), cap=0.25)
+        _check_simplex_rows(learner[:3], adversary[:3], cap=0.25)  # rows before it pass
+        with pytest.raises(ValueError, match="^weight exceeds declared cap$"):
+            _check_simplex_rows(learner, adversary, cap=0.25)
+        with pytest.raises(ValueError, match="^weight exceeds declared cap$"):
+            _check_simplex_rows(adversary, cap=0.25)
+
+    def test_a_nan_row_raises_the_sum_error_before_the_cap(self):
+        rng = np.random.default_rng(8305)
+        learner, adversary = _simplex_rows(rng, 5, 4), _capped_rows(rng, 5, 8)
+        adversary[2, 0] = np.nan
+        adversary[4] = [0.5] + [0.5 / 7] * 7
+        _check_simplex_rows(learner[:2], adversary[:2], cap=0.25)
+        with pytest.raises(ValueError, match=r"^weights sum to nan, not 1$"):
+            _check_simplex_rows(learner, adversary, cap=0.25)
+        learner[1] *= 1.0 + 1e-6  # a learner row fails an earlier round first
+        with pytest.raises(ValueError, match=r"^weights sum to 1\.00000\d+, not 1$"):
+            _check_simplex_rows(learner, adversary, cap=0.25)
 
 
 class TestHedgeCost:
@@ -354,26 +422,11 @@ class TestProjectionAgainstReference:
         clamped = 0
         cases = [(np.array(v), cap) for v, cap in _PROJECTION_EDGES]
         for v, cap in [*cases, *_projection_cases(100_000, 8301)]:
-            ours, high = _project_capped(v, cap)
+            ours = _project_capped(v, cap)
             ref = reference_project_capped(v, cap)
             assert ours.tobytes() == ref.tobytes(), (v.tolist(), cap)
-            # the maximum comes back exactly when no coordinate was clamped
-            took_clamp = bool((v / v.sum() > cap).any())
-            assert (high is None) == took_clamp
-            assert high is None or high == float(ours.max())
-            clamped += took_clamp
+            clamped += bool((v / v.sum() > cap).any())
         assert 10_000 < clamped < 90_000
-
-    @pytest.mark.parametrize("w, cap", [([0.5, 0.5], 0.5), ([0.7, 0.3], 0.5)])
-    def test_check_reuses_a_given_maximum(self, w, cap):
-        w = np.array(w)
-        passes = float(w.max()) <= cap
-        for high in (None, float(w.max())):
-            if passes:
-                _check_simplex(w, cap, high)
-            else:
-                with pytest.raises(ValueError, match="cap"):
-                    _check_simplex(w, cap, high)
 
 
 class TestExp3:
