@@ -284,12 +284,12 @@ def cmd_gen(args) -> int:
     print(f"wrote {args.out}: n={instance.domain_size} k={instance.k} "
           f"|class|={len(instance.hypothesis_class)}")
     try:
-        if opt is None:
-            opt = brute_force_opt(instance)
+        opt = opt or brute_force_opt(instance)
         print(f"OPT={opt.opt_value!r}")
-        print(f"VC={vc_dimension(instance.hypothesis_class)}")
     except GuardError:
-        print("OPT/VC skipped (size guard)")
+        print("OPT skipped (size guard)")
+    vc_dim = _vc_or_none(instance)
+    print("VC skipped (size guard)" if vc_dim is None else f"VC={vc_dim}")
     return 0
 
 

@@ -87,7 +87,7 @@ def projection_cover(hclass: HypothesisClass, points: Sequence[int]) -> CoverRes
         raise ValueError("cover needs at least one witness point")
     if max(pts) >= hclass.domain_size or min(pts) < 0:
         raise ValueError("witness point outside the class domain")
-    reps = first_distinct_rows(hclass.matrix[:, pts])
+    reps = first_distinct_rows(hclass.matrix.take(pts, axis=1))  # C order: no packing copy
     subclass = HypothesisClass(hclass.matrix[reps])
     return CoverResult(subclass=subclass, witness_points=pts,
                        behavior_count=len(reps), representative_ids=reps.tolist())

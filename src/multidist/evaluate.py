@@ -41,17 +41,20 @@ class OptResult:
 
 
 def loss_matrix(instance: MdlInstance) -> np.ndarray:
-    """Exact per-(distribution, hypothesis) loss table."""
+    """Exact per-(distribution, hypothesis) loss table: per distribution, one
+    gemv of its support columns (gathered C-ordered by ``take``, compared with
+    uint8 labels, cast to float64) with its masses, the row-major product the
+    boolean ``(hmat[:, points] != labels) @ probs`` runs, so the same bits."""
     hmat = instance.hypothesis_class.matrix
     cells = len(instance.hypothesis_class) * sum(
         d.support_size for d in instance.distributions)
     if cells > OPT_CELL_GUARD:
         raise GuardError(f"loss matrix would need {cells} cell evaluations")
-    rows = []
-    for dist in instance.distributions:
-        errs = hmat[:, dist.points] != dist.labels
-        rows.append(errs @ dist.probs)
-    return np.array(rows, dtype=np.float64)
+    out = np.empty((instance.k, len(hmat)))
+    for i, dist in enumerate(instance.distributions):
+        errs = hmat.take(dist.points, axis=1) != dist.labels.astype(np.uint8)
+        np.matmul(errs.astype(np.float64), dist.probs, out=out[i])
+    return out
 
 
 def brute_force_opt(instance: MdlInstance) -> OptResult:

@@ -140,10 +140,7 @@ class FiniteDistribution:
         return len(self.points)
 
     def atoms(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(x), int(y), float(p))
-            for x, y, p in zip(self.points, self.labels, self.probs)
-        ]
+        return list(zip(self.points.tolist(), self.labels.tolist(), self.probs.tolist()))
 
     def max_point(self) -> int:
         return int(self.points.max())
@@ -431,8 +428,21 @@ class MdlInstance:
         return cls(n, dists, hclass)
 
     def save(self, path: str) -> None:
+        """Write ``json.dumps(self.to_dict(), sort_keys=True)`` and a newline,
+        byte for byte; the class rows are formatted from the matrix in one
+        byte pass (``[0, 0, ..., 0], `` per row, its labels added to the digits)."""
+        hclass = self.hypothesis_class
+        cls_text = f'"family": {json.dumps(hclass.family_tag)}'
+        if hclass.family_tag == "explicit":
+            h, n = hclass.matrix.shape
+            row = f"[{', '.join('0' * n)}], ".encode()
+            rows = np.tile(np.frombuffer(row, np.uint8), (h, 1))
+            rows[:, 1:3 * n:3] += hclass.matrix
+            cls_text += f', "hypotheses": [{rows.tobytes()[:-2].decode()}]'
+        dists = json.dumps([d.atoms() for d in self.distributions])
         with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+            f.write(f'{{"class": {{{cls_text}}}, "distributions": {dists}, '
+                    f'"domain_size": {json.dumps(self.domain_size)}}}\n')
 
     @classmethod
     def load(cls, path: str) -> "MdlInstance":

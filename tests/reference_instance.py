@@ -7,6 +7,11 @@ constructor's tuple set, the structured families as nested comprehensions,
 the one-vector-per-call random class, the tuple scan in ``_with_member``,
 and the bytes-keyed grouping of ``projection_cover``.  The array versions
 in ``multidist`` must give the same matrices, ids and generator states.
+
+``reference_loss_matrix`` is ``evaluate.loss_matrix`` as it was before it
+gathered support columns with ``take``: a fancy-indexed boolean table
+times the masses, one row per distribution.  The loss matrices must be
+equal bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from multidist.evaluate import InstanceSpec
-from multidist.model import HypothesisClass
+from multidist.model import HypothesisClass, MdlInstance
 
 
 def reference_class_matrix(label_vectors: Iterable[Sequence[int]]) -> np.ndarray:
@@ -98,3 +103,12 @@ def reference_cover_ids(hclass: HypothesisClass, pts: Sequence[int]) -> list[int
             seen[key] = i
             reps.append(i)
     return reps
+
+
+def reference_loss_matrix(instance: MdlInstance) -> np.ndarray:
+    hmat = instance.hypothesis_class.matrix
+    rows = []
+    for dist in instance.distributions:
+        errs = hmat[:, dist.points] != dist.labels
+        rows.append(errs @ dist.probs)
+    return np.array(rows, dtype=np.float64)

@@ -1,6 +1,7 @@
-"""The CI workflow prints the Python and numpy versions, runs a short
-benchmark correctness check on every workload, then the tier-1 command that
-ROADMAP.md names, then logs the line count of src/ that ROADMAP.md tracks."""
+"""The CI workflow prints the Python and numpy versions and numpy's BLAS,
+runs a short benchmark correctness check on every workload, then the tier-1
+command that ROADMAP.md names, then logs the line count of src/ that
+ROADMAP.md tracks."""
 
 import json
 import re
@@ -41,12 +42,14 @@ def test_workflow_checks_the_benchmark_before_tier1():
 
 def test_workflow_prints_the_versions_before_the_benchmark_smoke():
     # the bit-for-bit differentials and model._round_draws' PCG64 decoding
-    # rest on numpy internals, so every CI log names the numpy it ran
+    # rest on numpy internals, and the loss matrix's bits on the gemv of the
+    # BLAS numpy links, so every CI log names the numpy and the BLAS it ran
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
     runs = [step["run"] for step in workflow["jobs"]["tests"]["steps"] if "run" in step]
     install = next(i for i, run in enumerate(runs) if ".[test]" in run)
     smoke = next(i for i, run in enumerate(runs) if "perfbench/run.py" in run)
     versions = [i for i, run in enumerate(runs)
-                if "sys.version" in run and "numpy.__version__" in run]
+                if "sys.version" in run and "numpy.__version__" in run
+                and 'numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]' in run]
     assert len(versions) == 1 and install < versions[0] < smoke

@@ -74,6 +74,22 @@ class TestGen:
                        "--n", "60", "--seed", "2", "--out", str(tmp_path / "i.json")) == 0
         assert "VC=2\n" in capsys.readouterr().out
 
+    def test_vc_guard_alone_keeps_the_opt_line(self, tmp_path, capsys):
+        # n = 21 is past the VC guard; OPT is still exact
+        assert run_cli("gen", "--family", "realizable", "--n", "21", "--k", "2",
+                       "--class-size", "8", "--out", str(tmp_path / "i.json")) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "OPT=0.0", "VC skipped (size guard)"]
+
+    def test_loss_matrix_guard_alone_keeps_the_vc_line(self, tmp_path, monkeypatch, capsys):
+        # `random` instances are not checked through OPT, so gen writes the file
+        monkeypatch.setattr(evaluate, "OPT_CELL_GUARD", 10)
+        assert run_cli("gen", "--family", "random", "--n", "6", "--k", "4",
+                       "--class-family", "thresholds", "--seed", "1",
+                       "--out", str(tmp_path / "i.json")) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "OPT skipped (size guard)", "VC=1"]
+
     def test_invalid_k_message_and_exit(self, tmp_path, capsys):
         code = run_cli("gen", "--family", "random", "--k", "0",
                        "--out", str(tmp_path / "x.json"))

@@ -25,6 +25,7 @@ from multidist.model import (
     make_rng,
 )
 
+from reference_instance import reference_loss_matrix
 from test_online import _capped_vertices
 
 
@@ -76,6 +77,30 @@ class TestBruteForceOpt:
         result = brute_force_opt(inst)
         for h in inst.hypothesis_class.hypotheses:
             assert result.opt_value <= max_loss(inst, h)[0] + 1e-12
+
+
+def _assert_bitwise_reference(inst):
+    got, want = loss_matrix(inst), reference_loss_matrix(inst)
+    assert got.shape == want.shape == (inst.k, len(inst.hypothesis_class))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestLossMatrixReference:
+    @pytest.mark.parametrize("family", evaluate.GENERATOR_FAMILIES)
+    def test_generated_instances_bitwise(self, family):
+        # every n from 1 to 20, |H| from 1 to 4096 (capped at 2^n), k from 1
+        # to 64; opposed_labels needs two distributions
+        for n in range(1, 21):
+            for j, size in enumerate((1, 60, 4096)):
+                k = (1, 7, 64)[(n + j) % 3]
+                k = max(k, 2) if family == "opposed_labels" else k
+                _assert_bitwise_reference(generate(InstanceSpec(
+                    family, n=n, k=k, class_size=size, seed=100 * n + j)))
+
+    @pytest.mark.parametrize("class_family,n", [("thresholds", 5000), ("intervals", 200)])
+    def test_structured_classes_bitwise(self, class_family, n):
+        _assert_bitwise_reference(generate(InstanceSpec(
+            "shared_bayes", n=n, k=64, class_size=1, seed=4, class_family=class_family)))
 
 
 class TestMaxLoss:

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multidist import cover, evaluate, model
@@ -82,16 +82,22 @@ def test_with_member_matches_reference(rows, pick, absent):
     assert np.array_equal(got.matrix[got_id], member)
 
 
-@given(rows=st.integers(1, 8).flatmap(lambda n: st.tuples(
+@given(rows=st.integers(1, 10).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
-             min_size=1, max_size=40),
+             min_size=1, max_size=60),
     st.lists(st.integers(0, n - 1), min_size=1, max_size=12))))
+@example(rows=([[0, 1, 0], [1, 1, 0], [0, 1, 1]], [2]))
+@example(rows=([[0, 1, 0], [1, 1, 0], [0, 0, 1]], [2, 0, 2, 2]))
 @settings(max_examples=300, deadline=None)
 def test_projection_cover_matches_reference(rows):
+    # the cover gathers its witness columns with `take`; the reference
+    # groups the fancy-index gather, duplicate and single points included
     vectors, points = rows
     hclass = HypothesisClass(vectors)
     got = cover.projection_cover(hclass, points)
     reps = reference_cover_ids(hclass, sorted(set(points)))
+    assert reps == model.first_distinct_rows(
+        hclass.matrix[:, sorted(set(points))]).tolist()
     assert got.representative_ids == reps
     assert all(type(i) is int for i in got.representative_ids)
     assert got.behavior_count == len(reps)

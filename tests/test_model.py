@@ -450,15 +450,34 @@ class TestSerialization:
         raw = json.loads(path.read_text())
         assert raw["distributions"][0][0][2] == 1.0
 
-    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
-    def test_save_bytes_equal_streaming_encoder(self, family, tmp_path):
-        inst = generate(InstanceSpec(family, n=9, k=5, class_size=60, seed=3))
-        path = tmp_path / "inst.json"
+    SAVE_CASES = {
+        **{family: InstanceSpec(family, n=9, k=5, class_size=60, seed=3)
+           for family in GENERATOR_FAMILIES},
+        # structured classes: no "hypotheses" key
+        **{cf: InstanceSpec("shared_bayes", n=7, k=4, class_size=1, seed=2,
+                            class_family=cf)
+           for cf in ("thresholds", "intervals", "singletons")},
+        "n1": InstanceSpec("random", n=1, k=3, class_size=2, seed=1),
+        "one_row": InstanceSpec("random", n=6, k=2, class_size=1, seed=4),
+        "k64_h1024": InstanceSpec("realizable", n=12, k=64, class_size=1024, seed=3),
+    }
+
+    @staticmethod
+    def _assert_save_bytes(inst, tmp_path):
+        path, stream = tmp_path / "inst.json", tmp_path / "stream.json"
         inst.save(str(path))
-        with open(tmp_path / "stream.json", "w", encoding="utf-8") as f:
+        with open(stream, "w", encoding="utf-8") as f:
             json.dump(inst.to_dict(), f, sort_keys=True)
             f.write("\n")
-        assert path.read_bytes() == (tmp_path / "stream.json").read_bytes()
+        assert path.read_bytes() == stream.read_bytes()
+        return path
+
+    @pytest.mark.parametrize("case", SAVE_CASES)
+    def test_save_bytes_equal_streaming_encoder(self, case, tmp_path):
+        path = self._assert_save_bytes(generate(self.SAVE_CASES[case]), tmp_path)
+        # loading renormalizes the masses, which may move their last bits,
+        # so a reloaded instance is held to its own reference
+        self._assert_save_bytes(MdlInstance.load(str(path)), tmp_path)
 
 
 class TestRng:
