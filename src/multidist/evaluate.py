@@ -23,6 +23,7 @@ from multidist.model import (
     HypothesisClass,
     MdlInstance,
     RandomizedHypothesis,
+    _check_class_cells,
     exact_loss,
     make_rng,
 )
@@ -154,6 +155,7 @@ def _random_class(spec: InstanceSpec, rng: np.random.Generator) -> HypothesisCla
     if spec.class_family != "explicit":
         return HypothesisClass.from_family(spec.class_family, spec.n)
     want = min(spec.class_size, 2 ** spec.n)
+    _check_class_cells(want, spec.n)
     rows: list[np.ndarray] = []
     seen: set[bytes] = set()
     attempts = 0

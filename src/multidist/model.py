@@ -25,11 +25,21 @@ leaves the generator where those calls would; ``_draws`` looks up a batch
 of atoms from given oracles at given uniforms, one lookup per oracle.
 Every atom, scalar or batched, is looked up by one inverse-CDF method,
 ``FiniteDistribution.atom_index``: a float by ``bisect_right`` on a list
-copy of the CDF, an array by ``searchsorted``.  The VC search is brute
-force over the subsets in ``itertools.combinations`` order; it keeps the
-label codes of each prefix of the current subset, so a subset costs one
-add, and tests shattering by counting the distinct codes with
-``np.bincount``.  The versions these three kernels replaced (and the old
+copy of the CDF, an array by ``searchsorted``.
+
+The exact VC search works from both ends.  Bottom up, a subset scan tries
+the levels m = 1, 2, ... over the subsets in ``itertools.combinations``
+order; it keeps the label codes of each prefix of the current subset, so a
+subset costs one add, and tests shattering by counting the distinct codes
+with ``np.bincount``.  Top down, a closure starts from the packed bitset of
+the codes no row takes and ANDs it with its flip along one point at a time
+(a shift and a mask inside a word for points 0..5, two runs of words for
+the others); the n - r points outside a set R of r points are shattered
+iff the closure over R is empty.  ``_closure_pays(n, m, |class|)`` hands
+the levels from m up to the closure where its whole cost, in words, is at
+most an eighth of a full scan of level m, in labels: from level 8 at n = 12,
+|class| = 1024; never at n = 8, |class| = 24, nor at any n >= 15 under the
+VC guard.  The versions these three kernels replaced (and the old
 distribution checks) are kept in ``tests/reference_kernels.py``.
 """
 
@@ -38,6 +48,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,6 +62,10 @@ RENORM_TOL = 1e-9
 VC_MAX_DOMAIN = 20
 VC_MAX_CLASS = 4096
 
+# Largest class label matrix (rows x points) a builder allocates.  Intervals
+# at n = 500 (62.9M cells) still build, and trip the loss-matrix guard.
+CLASS_CELL_GUARD = 100_000_000
+
 CLASS_FAMILIES = ("explicit", "thresholds", "intervals", "singletons")
 
 
@@ -59,6 +75,14 @@ class DomainMismatchError(ValueError):
 
 class GuardError(RuntimeError):
     """An exact computation was requested beyond its size guard."""
+
+
+def _check_class_cells(rows: int, n: int) -> None:
+    """A GuardError, before anything is allocated, if a class of `rows`
+    label rows over n points exceeds CLASS_CELL_GUARD cells."""
+    if rows * n > CLASS_CELL_GUARD:
+        raise GuardError(f"class guard: {rows} rows x {n} points is more than "
+                         f"{CLASS_CELL_GUARD} labels")
 
 
 def make_rng(seed: int | Sequence[int]) -> np.random.Generator:
@@ -264,11 +288,13 @@ class HypothesisClass:
     @classmethod
     def thresholds(cls, n: int) -> "HypothesisClass":
         """All step labelings 1[x >= t], t = 0..n."""
+        _check_class_cells(n + 1, n)
         return cls._tagged(np.arange(n) >= np.arange(n + 1)[:, None], "thresholds")
 
     @classmethod
     def intervals(cls, n: int) -> "HypothesisClass":
         """All labelings 1[a <= x < b] including the empty interval."""
+        _check_class_cells((n + 1) * (n + 2) // 2, n)
         a, b = np.triu_indices(n + 1)
         x = np.arange(n)
         return cls._tagged((a[:, None] <= x) & (x < b[:, None]), "intervals")
@@ -276,6 +302,7 @@ class HypothesisClass:
     @classmethod
     def singletons(cls, n: int) -> "HypothesisClass":
         """One indicator hypothesis per domain point."""
+        _check_class_cells(n, n)
         return cls._tagged(np.eye(n, dtype=np.uint8), "singletons")
 
     @classmethod
@@ -667,23 +694,128 @@ def _shatters_some(cols: np.ndarray, m: int) -> bool:
         depth = last + 1
 
 
-def brute_force_vc(hclass: HypothesisClass, n: int) -> int:
-    """Exact VC dimension by subset enumeration (guarded to small inputs)."""
+def _words(n: int) -> int:
+    """Words of a bitset over the 2^n codes of n points."""
+    return max(1, (1 << n) >> 6)
+
+
+# bits of a 64-bit word whose index has bit x clear, x = 0..5
+_LOW_BITS = [np.uint64(mask) for mask in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)]
+
+
+def _closure_step(level: np.ndarray, n: int, r: int) -> np.ndarray:
+    """The closures of every (r+1)-set of points from those of every r-set.
+
+    Row i of `level` is the closure Z_R of the i-th r-set R, the sets in
+    order of their largest point (so the C(x, r) sets below x come first);
+    the result holds Z_{R + {x}} = Z_R & flip_x(Z_R), in the same order,
+    one strided pass per point x over the C(x, r) rows below it.  Z_R is
+    the same on every code of an R-coset, so only the code with zeros on R
+    is kept and the rest of the coset reads 0: a flip along a point outside
+    R keeps the bits on R, so the zeros never reach a kept code.
+    """
+    out = np.zeros((comb(n, r + 1), level.shape[1]), dtype=level.dtype)
+    start = 0
+    for x in range(r, n):
+        parents = level[:comb(x, r)]
+        block = out[start:start + len(parents)]
+        start += len(parents)
+        if x < 6:
+            # pairs of codes that differ at bit x lie in one word, 2^x apart
+            np.right_shift(parents, 1 << x, out=block)
+            block &= parents
+            block &= _LOW_BITS[x]
+        else:
+            # ... or in two runs of 2^(x-6) words
+            run = 1 << (x - 6)
+            pair = parents.reshape(len(parents), -1, 2, run)
+            np.bitwise_and(pair[:, :, 0], pair[:, :, 1],
+                           out=block.reshape(len(parents), -1, 2, run)[:, :, 0])
+    return out
+
+
+def _closure_vc(cols: np.ndarray, m: int) -> int:
+    """The VC dimension of the class whose labels at point j are `cols[j]`,
+    given that it is at least m - 1, found top down.
+
+    Z is the packed bitset over {0,1}^n of the codes no row takes (code bit
+    j is the label at point j, code c is bit c % 64 of little-endian word
+    c // 64).  For a set R of points, Z_R holds the codes c whose whole
+    R-coset (every code that agrees with c off R) is missing, so the other
+    n - |R| points are shattered iff Z_R is empty.  Level r holds Z_R for
+    every r-set R (see ``_closure_step``); the first level r <= n - m with
+    an empty Z_R gives the dimension n - r, and none gives m - 1.
+    """
+    n, size = cols.shape
+    missing = np.zeros(64 * _words(n), dtype=bool)
+    missing[: 1 << n] = True
+    missing[(1 << np.arange(n)) @ cols] = False
+    level = np.packbits(missing, bitorder="little").view("<u8")[None, :]
+    for r in range(n - m + 1):
+        if r:
+            level = _closure_step(level, n, r - 1)
+        if size >= 1 << (n - r) and not level.any(axis=1).all():
+            return n - r
+    return m - 1
+
+
+@lru_cache(maxsize=1024)
+def _closure_cost(n: int, m: int) -> int:
+    """The closure's work down to level n - m, in words: sum_{r <= n-m}
+    C(n, r) rows of ceil(2^n / 64) words, made in (n(n+1) - m(m+1)) / 2
+    strided passes, each pass's fixed cost counted as 8 words."""
+    rows = sum(comb(n, r) for r in range(n - m + 1))
+    passes = (n * (n + 1) - m * (m + 1)) // 2
+    return rows * _words(n) + 8 * passes
+
+
+def _closure_pays(n: int, m: int, size: int) -> bool:
+    """Whether the closure down to level n - m costs at most an eighth of a
+    full scan of the m-subsets, C(n, m) codes of `size` labels each.
+
+    The pass cost keeps the closure off one-word rows (n <= 6) unless the
+    class is (nearly) the whole cube: there numpy's call overhead, not the
+    words, sets its time.  The closure's level n - m alone is C(n, m) rows,
+    so it never pays unless a row's words are at most an eighth of `size`.
+    """
+    if 8 * _words(n) > size:
+        return False
+    return 8 * _closure_cost(n, m) <= comb(n, m) * size
+
+
+def _brute_force_vc(hclass: HypothesisClass, n: int, closure_pays) -> int:
+    """Exact VC dimension: the subset scan level by level from m = 1, until
+    ``closure_pays(n, m, |class|)`` hands the levels from m up to the
+    closure."""
     if n > VC_MAX_DOMAIN or len(hclass) > VC_MAX_CLASS:
         raise GuardError(
             f"VC guard: need n <= {VC_MAX_DOMAIN} and |class| <= {VC_MAX_CLASS}")
     cols = np.ascontiguousarray(hclass.matrix[:, :n].T, dtype=np.int64)
-    best = 0
+    size = len(hclass)
     for m in range(1, n + 1):
-        if len(hclass) < (1 << m) or not _shatters_some(cols, m):
-            break
-        best = m
-    return best
+        if size < (1 << m):
+            return m - 1
+        if closure_pays(n, m, size):
+            return _closure_vc(cols, m)
+        if not _shatters_some(cols, m):
+            return m - 1
+    return n
+
+
+def brute_force_vc(hclass: HypothesisClass, n: int) -> int:
+    """Exact VC dimension of the class on points 0..n-1 (guarded to small
+    inputs), from both ends: the subset scan tries the levels m = 1, 2, ...
+    bottom up, and at the first level where ``_closure_pays(n, m, |class|)``
+    holds, the closure over the missing codes decides the levels from m up
+    top down."""
+    return _brute_force_vc(hclass, n, _closure_pays)
 
 
 def vc_dimension(hclass: HypothesisClass) -> int:
     """Exact VC dimension: closed forms for the structured families (whose
-    tag only their builders set), brute force for explicit classes.
+    tag only their builders set), ``brute_force_vc`` for explicit classes.
     Thresholds shatter one point, intervals two (one at n = 1), singletons
     one (none at n = 1, where the class is one row).
     """

@@ -1,7 +1,7 @@
 """The CI workflow prints the Python and numpy versions and numpy's BLAS,
-runs a short benchmark correctness check on every workload, then the tier-1
-command that ROADMAP.md names, then logs the line count of src/ that
-ROADMAP.md tracks."""
+runs a short benchmark correctness check on every workload, untraced and
+traced, then the tier-1 command that ROADMAP.md names, then logs the line
+count of src/ that ROADMAP.md tracks."""
 
 import json
 import re
@@ -36,7 +36,10 @@ def test_workflow_checks_the_benchmark_before_tier1():
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     for workload in benchmark["workloads"]:
         assert workload["name"] in run
-    assert "--seed 1 --seconds 2 --trace 0" in run
+    # each workload runs untraced and traced; a traced run is correct only if
+    # every traced cell's output equals its untraced twin's
+    assert "for t in 0 1; do" in [line.strip() for line in run.splitlines()]
+    assert '--seed 1 --seconds 2 --trace "$t"' in run
     assert 'r["correct"] is True and r["failed"] == 0' in run
 
 

@@ -69,6 +69,22 @@ class TestGen:
             assert run_cli("solve", "--algo", algo, *common, "--no-trace",
                            "--out", str(tmp_path / f"{algo}.json")) == 0, algo
 
+    @pytest.mark.parametrize("argv", [
+        ["--class-family", "intervals", "--n", "5000"],
+        ["--class-family", "singletons", "--n", "20000"],
+        ["--family", "random", "--n", "2000000", "--class-size", "60"],
+    ])
+    def test_class_guard_trips_before_the_class_is_built(self, argv, tmp_path, capsys):
+        # intervals at n = 5000 would be 12.5M rows x 5000 labels: the guard
+        # sizes the matrix from its closed-form row count, so nothing is
+        # allocated and no file is written
+        out = tmp_path / "i.json"
+        t0 = time.perf_counter()
+        assert run_cli("gen", *argv, "--out", str(out)) == 3
+        assert time.perf_counter() - t0 < 0.5
+        assert "class guard" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_structured_class_vc_past_the_guard(self, tmp_path, capsys):
         assert run_cli("gen", "--family", "shared_bayes", "--class-family", "intervals",
                        "--n", "60", "--seed", "2", "--out", str(tmp_path / "i.json")) == 0

@@ -1,6 +1,10 @@
 """Differential tests: the exact kernels of ``multidist.model`` (packed-key
-row dedupe, prefix-code VC search, batched mixture draws, array checks of a
-distribution) against the versions kept in ``reference_kernels.py``."""
+row dedupe, the VC search by prefix-code scan and by missing-code closure,
+batched mixture draws, array checks of a distribution) against the versions
+kept in ``reference_kernels.py``."""
+
+import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,9 +13,14 @@ from hypothesis import strategies as st
 
 from helpers import suite_instance
 from multidist.model import (
+    VC_MAX_CLASS,
+    VC_MAX_DOMAIN,
     FiniteDistribution,
     HypothesisClass,
     SampleLedger,
+    _brute_force_vc,
+    _closure_pays,
+    _closure_vc,
     brute_force_vc,
     first_distinct_rows,
     make_rng,
@@ -94,16 +103,51 @@ def _cube_class(rng: np.random.Generator, n: int, m: int, extra: int) -> Hypothe
     return HypothesisClass(rows)
 
 
+def _never(n, m, size):
+    return False
+
+
+def _assert_vc_paths_agree(hclass: HypothesisClass, n: int, closure_alone: bool = True) -> int:
+    """The selecting brute_force_vc, the subset scan alone, the closure alone
+    (from level 1; its levels grow as 2^n, so only up to n = 14) and the
+    reference give one VC dimension, which is returned."""
+    want = reference_brute_force_vc(hclass, n)
+    assert brute_force_vc(hclass, n) == want, (n, len(hclass))
+    assert _brute_force_vc(hclass, n, _never) == want, (n, len(hclass))
+    if closure_alone:
+        cols = np.ascontiguousarray(hclass.matrix[:, :n].T, dtype=np.int64)
+        assert _closure_vc(cols, 1) == want, (n, len(hclass))
+    return want
+
+
+def _every_code(n: int) -> np.ndarray:
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
 class TestBruteForceVc:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 14])
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_random_classes_match_reference(self, n):
+        # |H| from 1 to 2^n (capped at the VC guard), the edges 2^m - 1 and
+        # 2^m of the size bound that stops the scan, and random sizes between
         rng = np.random.default_rng(n)
-        sizes = {1, 2, 3, 7, 50}
-        for m in range(1, min(n, 10) + 1):  # |H| = 2^m and 2^m - 1 rows drawn
+        top = min(1 << n, VC_MAX_CLASS)
+        sizes = {1, 2, 3, top, *rng.integers(1, top + 1, size=4).tolist()}
+        for m in range(1, n + 1):
             sizes |= {(1 << m) - 1, 1 << m}
-        for size in sorted(sizes):
-            hclass = _random_class(rng, n, size)
-            assert brute_force_vc(hclass, n) == reference_brute_force_vc(hclass, n), (n, size)
+        codes = _every_code(n)
+        for size in sorted(size for size in sizes if size <= top):
+            # distinct rows, so the class has exactly `size` of them
+            hclass = HypothesisClass(codes[rng.choice(1 << n, size, replace=False)])
+            assert len(hclass) == size
+            _assert_vc_paths_agree(hclass, n)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_word_edges(self, n):
+        # 2^5 codes pad one word, 2^6 fill it, and point 6 is the first
+        # flip between words rather than inside one
+        rng = np.random.default_rng(50 + n)
+        for size in rng.integers(1, (1 << n) + 1, size=60):
+            _assert_vc_paths_agree(_random_class(rng, n, int(size)), n)
 
     @pytest.mark.parametrize("n", [4, 9, 14])
     def test_planted_cubes_match_reference(self, n):
@@ -111,28 +155,83 @@ class TestBruteForceVc:
         for m in range(1, min(n, 9) + 1):
             for extra in (0, 1, 40):
                 hclass = _cube_class(rng, n, m, extra)
-                got = brute_force_vc(hclass, n)
-                assert got == reference_brute_force_vc(hclass, n) >= m, (n, m, extra)
+                assert _assert_vc_paths_agree(hclass, n) >= m, (n, m, extra)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_full_cube_and_one_row(self, n):
+        if 1 << n <= VC_MAX_CLASS:
+            assert _assert_vc_paths_agree(HypothesisClass(_every_code(n)), n) == n
+        row = np.random.default_rng(n).integers(0, 2, size=(1, n), dtype=np.uint8)
+        assert _assert_vc_paths_agree(HypothesisClass(row), n) == 0
 
     def test_exact_class_sizes_match_reference(self):
         # classes of exactly 2^m and 2^m - 1 distinct rows, the edge of the
-        # size bound that stops the search
+        # size bound that stops the scan, where the closure often takes over
         rng = np.random.default_rng(7)
         for n in (6, 10, 13):
-            every = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+            every = _every_code(n)
             for m in range(1, n + 1):
                 for size in ((1 << m) - 1, 1 << m):
                     if not 1 <= size <= 2048:
                         continue
                     hclass = HypothesisClass(every[rng.choice(1 << n, size, replace=False)])
                     assert len(hclass) == size
-                    assert brute_force_vc(hclass, n) == reference_brute_force_vc(hclass, n)
+                    _assert_vc_paths_agree(hclass, n)
 
     @pytest.mark.parametrize("family", ["thresholds", "intervals", "singletons"])
     def test_structured_families_match_reference(self, family):
+        # the rows of each family as a plain explicit class, so no closed
+        # form answers; the closure alone runs up to n = 14
         for n in range(1, 21):
-            hclass = HypothesisClass.from_family(family, n)
-            assert brute_force_vc(hclass, n) == reference_brute_force_vc(hclass, n), n
+            hclass = HypothesisClass(HypothesisClass.from_family(family, n).matrix)
+            assert hclass.family_tag == "explicit"
+            _assert_vc_paths_agree(hclass, n, closure_alone=n <= 14)
+
+
+class TestClosureRule:
+    """``_closure_pays`` is a pure function of (n, m, |H|)."""
+
+    def test_scan_everywhere_on_the_wide_and_the_small(self):
+        assert not any(_closure_pays(20, m, 4096) for m in range(1, 21))
+        assert not any(_closure_pays(8, m, 24) for m in range(1, 9))
+
+    def test_one_word_rows_keep_the_scan_short_of_the_cube(self):
+        # at n <= 6 a row is one word and each pass's call overhead, not its
+        # words, sets the closure's time: it pays only on (nearly) the cube
+        picked = {(n, size) for n in range(1, 7) for size in range(1, (1 << n) + 1)
+                  if any(size >= 1 << m and _closure_pays(n, m, size)
+                         for m in range(1, n + 1))}
+        assert picked == {(3, 8), (4, 16), (5, 32)} | {(6, size) for size in range(59, 65)}
+
+    def test_closure_from_level_8_at_n_12_with_1024_rows(self):
+        assert [m for m in range(1, 13) if _closure_pays(12, m, 1024)][0] == 8
+
+    def test_peak_memory_under_the_vc_guard(self):
+        # A larger class only lowers the level where the rule fires, and the
+        # scan reaches level m only if |H| >= 2^m, so the largest class the
+        # guard admits gives each n its deepest closure.  The closure holds
+        # two consecutive levels of ceil(2^n / 64) words a row.
+        chosen = {}
+        for n in range(1, VC_MAX_DOMAIN + 1):
+            size = min(1 << n, VC_MAX_CLASS)
+            fires = [m for m in range(1, n + 1) if size >= 1 << m and _closure_pays(n, m, size)]
+            if fires:
+                words = -(-(1 << n) // 64)
+                chosen[n] = 8 * words * max((comb(n, r) + comb(n, r + 1)
+                                             for r in range(n - fires[0])), default=1)
+        assert max(chosen) == 14
+        assert chosen[14] == 8 * 256 * (comb(14, 4) + comb(14, 5)) == 6_150_144
+        assert max(chosen.values()) == chosen[14]
+        # measured: the levels, the label columns and the packed codes
+        hclass = HypothesisClass(np.random.default_rng(1).integers(
+            0, 2, size=(VC_MAX_CLASS, 14), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            brute_force_vc(hclass, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 def _outcome(build, atoms):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import distributions, hypothesis_classes
+from multidist import evaluate, model
 from multidist.cover import projection_cover
 from multidist.evaluate import GENERATOR_FAMILIES, InstanceSpec, _with_member, generate
 from multidist.model import (
@@ -359,6 +360,23 @@ class TestHypothesisClass:
             HypothesisClass([])
         with pytest.raises(ValueError, match="share one domain size"):
             HypothesisClass(iter([[0, 1], [0, 1, 1]]))
+
+    def test_builders_size_the_class_before_building_it(self, monkeypatch):
+        # the bound is inclusive; thresholds at n = 10 are 11 x 10 labels
+        monkeypatch.setattr(model, "CLASS_CELL_GUARD", 110)
+        assert len(HypothesisClass.thresholds(10)) == 11
+        assert len(HypothesisClass.singletons(10)) == 10
+        for family, n in (("thresholds", 11), ("intervals", 10), ("singletons", 11)):
+            with pytest.raises(GuardError, match="class guard"):
+                HypothesisClass.from_family(family, n)
+        # an explicit draw is sized by min(class size, 2^n) rows
+        assert len(evaluate._random_class(InstanceSpec("random", n=10, k=1, class_size=11,
+                                                       seed=0), make_rng(0))) == 11
+        with pytest.raises(GuardError, match="class guard"):
+            evaluate._random_class(InstanceSpec("random", n=10, k=1, class_size=12, seed=0),
+                                   make_rng(0))
+        assert len(evaluate._random_class(InstanceSpec("random", n=3, k=1, class_size=10**9,
+                                                       seed=0), make_rng(0))) == 8
 
     def test_matrix_does_not_alias_input(self):
         rows = np.array([[0, 1], [1, 1]], dtype=np.uint8)
