@@ -31,13 +31,15 @@ total normalizes the next round's mixture, and the learner's total
 normalizes its prediction at the adversary's point while every learner
 weight is positive.  Its adversary's estimate is one-hot, so the Hedge step
 scales the chosen weight alone before the capped projection.  Both loops
-take their randomness in blocks of ``_PAIR_BLOCK`` rounds and ledger each
-block's per-oracle counts at once: the finite loop draws its two uniforms
-per round (oracle, then atom) and looks up every distribution's atom at the
-block's atom uniforms, so a round reads its atom by index and Exp3 updates
-in place; the mid loop decodes its four (the mixture's oracle and atom, the
-estimate's uniform oracle and atom) with ``model._round_draws`` and looks
-the mixture's atom up per round with ``atom_index`` on a float.  The
+take their randomness in blocks of ``_PAIR_BLOCK`` rounds, one double of
+the stream per draw (``rng.random((count, width))``, so a block boundary
+does not move the stream), and ledger each block's per-oracle counts at
+once: the finite loop draws two uniforms per round (oracle, then atom) and
+looks up every distribution's atom at the block's atom uniforms, so a round
+reads its atom by index and Exp3 updates in place; the mid loop draws four
+(the mixture's oracle and atom, the estimate's oracle and atom), takes the
+estimate's uniform oracle as ``floor(u * k)``, and looks the mixture's atom
+up per round with ``atom_index`` on a float.  The
 estimate's query does not depend on the game, so the mid loop draws a
 block's estimate queries at once, one batch per oracle, and reads the
 learner's labels at each drawn point as a row of the transposed subclass
@@ -76,7 +78,6 @@ from multidist.model import (
     _label_loss,
     _mixture_index,
     _prediction_at,
-    _round_draws,
     derive_seed,
     make_rng,
     mixture_sample_many,
@@ -541,13 +542,16 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     try:
         for start in range(0, T, _PAIR_BLOCK):
             count = min(_PAIR_BLOCK, T - start)
-            u_oracle, u_atom, chosen_block, u_estimate = _round_draws(rng, k, count)
+            # per round: the mixture's oracle and atom, the estimate's oracle
+            # and atom; floor(u * k) <= k - 1 for every u that random() returns
+            u = rng.random((count, 4))
+            chosen_block = (u[:, 2] * k).astype(np.int64)
             # The estimate's query (a uniform oracle, then an atom of it) does
             # not depend on the game, so the block's queries are drawn at once.
-            points, labels = _draws(instance, chosen_block, u_estimate, ledger)
+            points, labels = _draws(instance, chosen_block, u[:, 3], ledger)
             counts = [0] * k
             for t, u1, u2, chosen, x2, y2 in zip(
-                    range(start, start + count), u_oracle.tolist(), u_atom.tolist(),
+                    range(start, start + count), u[:, 0].tolist(), u[:, 1].tolist(),
                     chosen_block.tolist(), points.tolist(), labels.tolist()):
                 mean_weights += learner
                 i = _mixture_index(adversary / adversary_total, u1)

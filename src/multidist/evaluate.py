@@ -23,7 +23,7 @@ from multidist.model import (
     HypothesisClass,
     MdlInstance,
     RandomizedHypothesis,
-    _check_class_cells,
+    _class_rows,
     exact_loss,
     make_rng,
 )
@@ -154,8 +154,7 @@ def _random_class(spec: InstanceSpec, rng: np.random.Generator) -> HypothesisCla
     generator ends exactly where one draw per vector would leave it."""
     if spec.class_family != "explicit":
         return HypothesisClass.from_family(spec.class_family, spec.n)
-    want = min(spec.class_size, 2 ** spec.n)
-    _check_class_cells(want, spec.n)
+    want = _class_rows("explicit", spec.n, spec.class_size)
     rows: list[np.ndarray] = []
     seen: set[bytes] = set()
     attempts = 0
@@ -264,6 +263,12 @@ def generate_with_opt(spec: InstanceSpec) -> tuple[MdlInstance, OptResult | None
     The optimum is None for the `random` family; callers that need it there
     compute it with :func:`brute_force_opt`.
     """
+    # Each distribution has at least one atom (two for shared_bayes), so
+    # rows x k (x 2) bounds the loss matrix's cells before anything is built.
+    cells = _class_rows(spec.class_family, spec.n, spec.class_size) * spec.k * (
+        2 if spec.family == "shared_bayes" else 1)
+    if spec.family != "random" and cells > OPT_CELL_GUARD:
+        raise GuardError(f"loss matrix would need at least {cells} cell evaluations")
     rng = make_rng(spec.seed)
     for _ in range(100):
         instance, planted = _build(spec, rng)

@@ -15,14 +15,11 @@ call ``_mixture_index`` every round, look atoms up with ``atom_index``
 directly and ledger a block of rounds' draws at once.  The private draws
 take their uniforms as arguments, one scalar ``rng.random()`` each (the
 same double and generator state as ``rng.random(1)``), so a loop may also
-draw them in blocks.
+draw them in blocks: every draw is one double of the stream.
 ``_mixture_index`` repeats the arithmetic of ``rng.choice(k, p=p)``, so a
 loop that uses it draws the same oracles from the same generator state.
-``_round_draws`` decodes, from one block of raw PCG64 words, what a mid
-round's four scalar calls (``random``, ``random``, ``integers(k)``,
-``random``) return, 32-bit buffer and Lemire rejections included, and
-leaves the generator where those calls would; ``_draws`` looks up a batch
-of atoms from given oracles at given uniforms, one lookup per oracle.
+``_draws`` looks up a batch of atoms from given oracles at given uniforms,
+one lookup per oracle.
 Every atom, scalar or batched, is looked up by one inverse-CDF method,
 ``FiniteDistribution.atom_index``: a float by ``bisect_right`` on a list
 copy of the CDF, an array by ``searchsorted``.
@@ -77,12 +74,19 @@ class GuardError(RuntimeError):
     """An exact computation was requested beyond its size guard."""
 
 
-def _check_class_cells(rows: int, n: int) -> None:
-    """A GuardError, before anything is allocated, if a class of `rows`
-    label rows over n points exceeds CLASS_CELL_GUARD cells."""
+def _class_rows(family: str, n: int, class_size: int = 0) -> int:
+    """The rows of the class `family` over n points, in closed form (for
+    `explicit`, the first `class_size` distinct label vectors, at most 2^n),
+    or a GuardError, before anything is allocated, if its label matrix
+    would exceed CLASS_CELL_GUARD cells."""
+    if family not in CLASS_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    rows = (min(class_size, 2 ** n) if family == "explicit" else
+            {"thresholds": n + 1, "intervals": (n + 1) * (n + 2) // 2, "singletons": n}[family])
     if rows * n > CLASS_CELL_GUARD:
         raise GuardError(f"class guard: {rows} rows x {n} points is more than "
                          f"{CLASS_CELL_GUARD} labels")
+    return rows
 
 
 def make_rng(seed: int | Sequence[int]) -> np.random.Generator:
@@ -288,13 +292,13 @@ class HypothesisClass:
     @classmethod
     def thresholds(cls, n: int) -> "HypothesisClass":
         """All step labelings 1[x >= t], t = 0..n."""
-        _check_class_cells(n + 1, n)
+        _class_rows("thresholds", n)
         return cls._tagged(np.arange(n) >= np.arange(n + 1)[:, None], "thresholds")
 
     @classmethod
     def intervals(cls, n: int) -> "HypothesisClass":
         """All labelings 1[a <= x < b] including the empty interval."""
-        _check_class_cells((n + 1) * (n + 2) // 2, n)
+        _class_rows("intervals", n)
         a, b = np.triu_indices(n + 1)
         x = np.arange(n)
         return cls._tagged((a[:, None] <= x) & (x < b[:, None]), "intervals")
@@ -302,7 +306,7 @@ class HypothesisClass:
     @classmethod
     def singletons(cls, n: int) -> "HypothesisClass":
         """One indicator hypothesis per domain point."""
-        _check_class_cells(n, n)
+        _class_rows("singletons", n)
         return cls._tagged(np.eye(n, dtype=np.uint8), "singletons")
 
     @classmethod
@@ -534,80 +538,6 @@ def _draws(instance: MdlInstance, oracles: np.ndarray, u: np.ndarray,
         labels[rows] = dist.labels[idx]
         ledger.record(i, len(rows))
     return points, labels
-
-
-_MASK32 = 0xFFFFFFFF
-_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
-
-
-def _round_draws(rng: np.random.Generator, k: int,
-                 count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What `count` rounds of the scalar calls ``rng.random()``,
-    ``rng.random()``, ``rng.integers(k)``, ``rng.random()`` return, as four
-    arrays (one entry per round), decoded from one ``random_raw`` block; the
-    generator ends in the state those calls leave.
-
-    PCG64 makes a double of the top 53 bits of one 64-bit word.  A 32-bit
-    draw takes the low half of a fresh word and buffers the high half
-    (``has_uint32``/``uinteger`` in the state) for the next 32-bit draw, so
-    two rounds use seven words.  ``integers(k)`` is Lemire's multiply-shift
-    of a 32-bit draw x, ``(x * k) >> 32``, drawing again while the low half
-    of ``x * k`` is below (2**32 - k) % k (0 when k is a power of two).  At
-    k = 1 it reads nothing.  The block is decoded as if no draw were
-    rejected; if one was, it is decoded again, round by round, from the same
-    words plus the further ones the rejections need (they never need fewer).
-    """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise TypeError(f"round draws decode PCG64 only, not {type(bitgen).__name__}")
-    if not 1 <= k < 2 ** 32:
-        raise ValueError(f"need 1 <= k < 2**32, got {k}")
-    state = bitgen.state
-    has, buffered = state["has_uint32"], state["uinteger"]
-    # the rounds that take a fresh word for their 32-bit draw
-    fresh = ((np.arange(count) + has) % 2 == 0) & (k > 1)
-    words = 3 * np.arange(count) + np.cumsum(fresh) - fresh  # each round's first
-    raw = bitgen.random_raw(3 * count + int(fresh.sum()))
-    a, b, c = raw[words], raw[words + 1], raw[words + 2 + fresh]
-    chosen = np.zeros(count, dtype=np.int64)
-    if k > 1 and count:
-        int_words = raw[words + 2][fresh]
-        # the rounds' 32-bit draws: the buffered half, then two per fresh word
-        halves = np.column_stack([int_words & _MASK32, int_words >> 32]).ravel()
-        product = np.concatenate([np.array([buffered] * has, dtype=np.uint64),
-                                  halves])[:count] * k
-        threshold = (2 ** 32 - k) % k
-        if not (threshold and ((product & _MASK32) < threshold).any()):
-            chosen = (product >> 32).astype(np.int64)
-            has = (has + count) % 2
-            if len(int_words):
-                buffered = int(int_words[-1] >> 32)
-        else:
-            stream = iter(raw.tolist())
-
-            def word() -> int:
-                w = next(stream, None)
-                return int(bitgen.random_raw()) if w is None else w
-
-            rounds = []
-            for _ in range(count):
-                first, second = word(), word()
-                while True:
-                    if has:
-                        x, has = buffered, 0
-                    else:
-                        w = word()
-                        x, buffered, has = w & _MASK32, w >> 32, 1
-                    if (x * k) & _MASK32 >= threshold:
-                        break
-                rounds.append((first, second, (x * k) >> 32, word()))
-            a, b, chosen, c = (np.array(col, dtype=np.uint64) for col in zip(*rounds))
-            chosen = chosen.astype(np.int64)
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = has, buffered
-        bitgen.state = state
-    return ((a >> 11) * _DOUBLE_UNIT, (b >> 11) * _DOUBLE_UNIT, chosen,
-            (c >> 11) * _DOUBLE_UNIT)
 
 
 def oracle_sample(instance: MdlInstance, i: int, rng: np.random.Generator,

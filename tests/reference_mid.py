@@ -3,8 +3,11 @@
 This is the mid loop as it ran before the loop moved onto plain arrays: it
 rebuilds a :class:`RandomizedHypothesis` every round to score the learner on
 the adversary's point, and validates each step through the public
-``SimplexWeights``/``CostVector`` wrappers.  ``algos.run_mid`` must produce
-the same report, bit for bit, for every seed.
+``SimplexWeights``/``CostVector`` wrappers.  Each round takes four scalar
+``rng.random()`` doubles: the mixture's oracle and atom, then the estimate's
+uniform oracle ``int(u * k)`` and its atom.  ``algos.run_mid`` draws the
+same doubles in blocks, and must produce the same report, bit for bit, for
+every seed.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def reference_run_mid(instance: MdlInstance, epsilon: float, delta: float, seed:
         mean_weights += learner.w
         z = mixture_sample(instance, adversary.w, rng, ledger)
         learner_costs = (matrix[:, z.point] != z.label).astype(np.float64)
-        chosen = int(rng.integers(k))
+        chosen = int(rng.random() * k)
         z2 = oracle_sample(instance, chosen, rng, ledger)
         iterate = RandomizedHypothesis.from_weights(sub.hypotheses, learner.w)
         estimate = mid_adversary_estimate(adversary, chosen, z2, iterate, estimator)

@@ -44,9 +44,9 @@ def test_workflow_checks_the_benchmark_before_tier1():
 
 
 def test_workflow_prints_the_versions_before_the_benchmark_smoke():
-    # the bit-for-bit differentials and model._round_draws' PCG64 decoding
-    # rest on numpy internals, and the loss matrix's bits on the gemv of the
-    # BLAS numpy links, so every CI log names the numpy and the BLAS it ran
+    # the bit-for-bit differentials rest on numpy's generator streams and
+    # sums, and the loss matrix's bits on the gemv of the BLAS numpy links,
+    # so every CI log names the numpy and the BLAS it ran
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
     runs = [step["run"] for step in workflow["jobs"]["tests"]["steps"] if "run" in step]

@@ -85,6 +85,21 @@ class TestGen:
         assert "class guard" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_loss_matrix_bound_trips_before_the_class_is_built(self, tmp_path,
+                                                               monkeypatch, capsys):
+        # 125,751 intervals x 64 distributions x 2 atoms is past the loss
+        # matrix's guard, and known before any label is built
+        def never(*args, **kwargs):
+            raise AssertionError("the class was built before the optimum's guard")
+
+        monkeypatch.setattr(evaluate, "_random_class", never)
+        monkeypatch.setattr(evaluate, "_build", never)
+        out = tmp_path / "i.json"
+        assert run_cli("gen", "--family", "shared_bayes", "--class-family", "intervals",
+                       "--n", "500", "--k", "64", "--out", str(out)) == 3
+        assert "loss matrix would need at least 16096128" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_structured_class_vc_past_the_guard(self, tmp_path, capsys):
         assert run_cli("gen", "--family", "shared_bayes", "--class-family", "intervals",
                        "--n", "60", "--seed", "2", "--out", str(tmp_path / "i.json")) == 0
@@ -256,8 +271,7 @@ class TestSolve:
         def never(*args, **kwargs):
             raise AssertionError("the run drew before its query guard")
 
-        for name in ("mixture_sample_many", "oracle_sample_many", "_round_draws",
-                     "_atom_blocks"):
+        for name in ("mixture_sample_many", "oracle_sample_many", "_atom_blocks"):
             monkeypatch.setattr(algos, name, never)
         out = tmp_path / "r.json"
         start = time.perf_counter()

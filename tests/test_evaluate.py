@@ -268,3 +268,28 @@ class TestGenerate:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             InstanceSpec("bogus", n=4, k=2, class_size=4, seed=0)
+
+    @pytest.mark.parametrize("family, cells", [
+        ("realizable", 10), ("opposed_labels", 10), ("shared_bayes", 20)])
+    def test_loss_matrix_bound_before_the_build(self, family, cells, monkeypatch):
+        # at n = 1 every support is the one point, so the 2 thresholds at
+        # k = 5 need exactly the bound: 2 x 5 cells, x 2 atoms for shared_bayes
+        spec = InstanceSpec(family, n=1, k=5, class_size=1, seed=0,
+                            class_family="thresholds")
+        monkeypatch.setattr(evaluate, "OPT_CELL_GUARD", cells)
+        instance, _ = evaluate.generate_with_opt(spec)
+        assert len(instance.hypothesis_class) * sum(
+            d.support_size for d in instance.distributions) == cells
+
+        def never(*args, **kwargs):
+            raise AssertionError("the instance was built before the guard")
+
+        monkeypatch.setattr(evaluate, "OPT_CELL_GUARD", cells - 1)
+        monkeypatch.setattr(evaluate, "_build", never)
+        with pytest.raises(GuardError, match=f"at least {cells} cell"):
+            evaluate.generate_with_opt(spec)
+
+    def test_unknown_class_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            generate(InstanceSpec("realizable", n=4, k=2, class_size=4, seed=0,
+                                  class_family="bogus"))

@@ -18,9 +18,7 @@ from multidist.model import (
     HypothesisClass,
     RandomizedHypothesis,
     _prediction_at,
-    _round_draws,
     derive_seed,
-    make_rng,
 )
 import multidist.online
 import reference_mid
@@ -110,6 +108,17 @@ class TestAcrossBlocks:
                 ours = run_mid(inst, eps, delta, seed, estimator=estimator)
                 ref = reference_run_mid(inst, eps, delta, seed, estimator=estimator)
                 assert _same(ours, ref), f"k = {inst.k}, seed {seed}, {estimator}"
+
+    def test_mid_identical_with_one_round_blocks(self, monkeypatch):
+        # a (1, 4) block of doubles per round reads the stream the scalar
+        # reference reads, four doubles a round
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 1)
+        for s in range(0, 40, 8):
+            inst, seed = suite_instance(s), derive_seed(8111, s)
+            for estimator in algos.ESTIMATORS:
+                ours = run_mid(inst, 0.45, 0.3, seed, estimator=estimator)
+                ref = reference_run_mid(inst, 0.45, 0.3, seed, estimator=estimator)
+                assert _same(ours, ref), f"suite member {s}, {estimator}"
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_personalized_identical_down_to_one_distribution(self, k, monkeypatch):
@@ -296,45 +305,51 @@ def _raises(w: np.ndarray, cap: float | None) -> bool:
     return False
 
 
-def _scalar_rounds(rng, k: int, count: int) -> list[tuple]:
-    """The mid loop's four scalar calls per round, as it made them before
-    its draws were decoded in blocks."""
-    return [(rng.random(), rng.random(), int(rng.integers(k)), rng.random())
-            for _ in range(count)]
+class TestEstimateOracle:
+    def test_largest_double_needs_no_clamp(self):
+        # random() returns at most 1 - 2**-53, and rounding is monotone, so
+        # floor(u * k) <= k - 1 for every draw once it holds at that u: the
+        # mid loop's oracle (u * k).astype(int64) is always in range(k), and
+        # at k = 1 it is always 0
+        ks = np.arange(1, 2 ** 20 + 1)
+        u = 1.0 - 2.0 ** -53
+        assert np.array_equal((u * ks).astype(np.int64), ks - 1)
 
+    @pytest.mark.parametrize("k", [2 ** 31 + 1, 2 ** 32 + 1, 2 ** 45 + 7, 2 ** 52 + 1,
+                                   2 ** 53 - 1])
+    def test_no_clamp_for_any_k_below_2_to_the_53(self, k):
+        # past the exhaustive range: for k < 2**53, u * k = k - k * 2**-53 at
+        # the largest u lies between k and the double below it, nearer that
+        # double, so it rounds below k
+        u = np.array([0.0, 0.5, 1.0 - 2.0 ** -53])
+        assert (u * k).astype(np.int64).tolist() == [0, k // 2, k - 1]
 
-class TestRoundDraws:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 16, 64, 2 ** 31 + 1])
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_matches_scalar_calls(self, k, buffered):
-        # k = 2**31 + 1 rejects about half of its 32-bit draws; the blocks
-        # of 7 rounds mimic a loop whose rounds cross block boundaries
-        for count in (0, 1, 2, 7, 8, 23):
-            ours, theirs = make_rng(8109 + count), make_rng(8109 + count)
-            if buffered:  # leave half a word in the 32-bit buffer
-                ours.integers(3)
-                theirs.integers(3)
-                assert ours.bit_generator.state["has_uint32"] == 1
-            decoded = []
-            for start in range(0, max(count, 1), 7):  # count 0: one empty block
-                block = _round_draws(ours, k, min(7, count - start))
-                decoded += zip(*(col.tolist() for col in block))
-            assert decoded == _scalar_rounds(theirs, k, count), f"count {count}"
-            assert ours.bit_generator.state == theirs.bit_generator.state
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 16, 64])
+    def test_the_estimate_queries_a_uniform_oracle(self, k, monkeypatch):
+        # the estimate needs its oracle uniform over the k distributions and
+        # independent of the atom drawn from it; eps = 0.1 runs two blocks
+        drawn = []
+        draws = algos._draws
 
-    def test_state_after_each_block(self):
-        ours, theirs = make_rng(8110), make_rng(8110)
-        for count in (1, 2, 7, 0, 3):
-            _round_draws(ours, 5, count)
-            _scalar_rounds(theirs, 5, count)
-            assert ours.bit_generator.state == theirs.bit_generator.state
+        def recorded(instance, oracles, u, ledger):
+            drawn.append((oracles.copy(), u.copy()))
+            return draws(instance, oracles, u, ledger)
 
-    def test_refuses_other_generators_and_wide_k(self):
-        with pytest.raises(TypeError, match="PCG64"):
-            _round_draws(np.random.Generator(np.random.MT19937(1)), 4, 3)
-        for k in (0, 2 ** 32):
-            with pytest.raises(ValueError, match="k"):
-                _round_draws(make_rng(1), k, 3)
+        monkeypatch.setattr(algos, "_draws", recorded)
+        inst = generate(InstanceSpec("random", n=6, k=k, class_size=12,
+                                     seed=derive_seed(8109, k)))
+        run_mid(inst, 0.1, 0.2, derive_seed(8110, k))
+        assert len(drawn) > 1
+        oracles = np.concatenate([o for o, _ in drawn])
+        atoms = np.concatenate([u for _, u in drawn])
+        counts = np.bincount(oracles, minlength=k)
+        assert len(counts) == k and ((0 <= atoms) & (atoms < 1)).all()
+        # Pearson's statistic has mean k - 1 and variance 2 (k - 1) when the
+        # oracle is uniform
+        expected = len(oracles) / k
+        assert ((counts - expected) ** 2 / expected).sum() <= k - 1 + 5 * np.sqrt(2 * (k - 1))
+        if k > 1:
+            assert abs(np.corrcoef(oracles, atoms)[0, 1]) < 5 / np.sqrt(len(oracles))
 
 
 def _counting_draws(monkeypatch) -> Counter:
