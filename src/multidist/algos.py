@@ -1,49 +1,38 @@
 """Game-dynamics learners: fast ERM-vs-Hedge, finite Hedge-vs-Exp3,
 cover-then-finite, the capped-adversary mid dynamics, and the personalized
-halving loop over mid.  The three loops (fast, finite, mid) are written out
-separately because they share no learner, adversary or feedback step.
+halving loop over mid.
 
 Each run owns a seeded generator and a fresh :class:`SampleLedger`; the only
 access to the distributions is through the ledgered oracles, so the realized
 query totals in every report can be checked against the predicted budgets.
 
-The mid and finite loops run on plain weight arrays through the same private
-steps that the public wrappers (``mixture_sample``, ``oracle_sample``,
-``hedge_step_cost``, ``project_capped``, ``exp3_step``,
-``mid_adversary_estimate``) validate and call; both draw the adversary's
-oracle with ``model._mixture_index``.  Each loop checks every round what
-those wrappers would check: the mid estimate lies in [0, k], the finite
-loop's observed cost lies in [0, 1], and both weight vectors are
-nonnegative, sum to 1 and respect the adversary's cap.  The estimate and
-the cost are checked every round; both loops write each round's learner
-and adversary into stacks of rows and check the stacks every
-``_CHECK_ROWS`` rounds (``online._check_simplex_rows``, with the cap on
-the mid adversary's rows), and before any error a later round raises, so
-the first failing round raises the error it raised alone.  Learning rates
-are constant, so they are checked once, before the loop.
+The finite and mid dynamics are one game, played by one loop,
+``_hedge_loop``: a Hedge learner over the rows of a class matrix against an
+adversary over the k distributions.  The loop is the learner side, written
+once; the adversary is one of two small objects, ``_Exp3`` (finite: bandit
+feedback on the query the learner pays on) and ``_CappedHedge`` (mid: a
+capped Hedge fed a one-sample estimate at its own uniform oracle), and the
+loop never asks which it runs.  Both sides run on plain weight arrays
+through the private steps that the public wrappers (``mixture_sample``,
+``oracle_sample``, ``hedge_step_cost``, ``project_capped``, ``exp3_step``,
+``mid_adversary_estimate``) validate and call, and check what those
+wrappers would check: the adversary checks its feedback every round (the
+mid estimate lies in [0, k], the finite cost in [0, 1]); the loop writes
+each round's learner and adversary into stacks of rows and checks them
+(nonnegative, summing to 1, within the adversary's cap) every
+``_CHECK_ROWS`` rounds with ``online._check_simplex_rows``, and before any
+error a later round raises, so the first failing round raises the error it
+raised alone.  Learning rates are constant, so they are checked once,
+before the loop.
 
-Per run, both loops compute the learner's Hedge factor row of each drawn
-(point, label) once (the finite loop also keeps its 0/1 cost row), and
-scale and normalize the learner in place, in its row of the check stack.
-The mid loop takes the learner's minimum and total and the adversary's
-total every round, the bits ``_check_simplex`` returns: the adversary's
-total normalizes the next round's mixture, and the learner's total
-normalizes its prediction at the adversary's point while every learner
-weight is positive.  Its adversary's estimate is one-hot, so the Hedge step
-scales the chosen weight alone before the capped projection.  Both loops
-take their randomness in blocks of ``_PAIR_BLOCK`` rounds, one double of
-the stream per draw (``rng.random((count, width))``, so a block boundary
-does not move the stream), and ledger each block's per-oracle counts at
-once: the finite loop draws two uniforms per round (oracle, then atom) and
-looks up every distribution's atom at the block's atom uniforms, so a round
-reads its atom by index and Exp3 updates in place; the mid loop draws four
-(the mixture's oracle and atom, the estimate's oracle and atom), takes the
-estimate's uniform oracle as ``floor(u * k)``, and looks the mixture's atom
-up per round with ``atom_index`` on a float.  The
-estimate's query does not depend on the game, so the mid loop draws a
-block's estimate queries at once, one batch per oracle, and reads the
-learner's labels at each drawn point as a row of the transposed subclass
-matrix.  All of these give the bits the public steps give.  The fast loop
+Per run, the loop computes each drawn (point, label)'s cost and Hedge
+factor rows once, and scales and normalizes the learner in place, in its
+row of the check stack.  It takes its randomness in blocks of
+``_PAIR_BLOCK`` rounds, one double of the stream per draw
+(``rng.random((count, width))``, so a block boundary does not move the
+stream): each round's mixture oracle and atom, then the adversary's own
+query, if it has one; and it ledgers each block's per-oracle counts at
+once.  All of these give the bits the public steps give.  The fast loop
 keeps its public steps, since its cost is the ERM scan.  The object-level
 loops these replaced are kept in ``tests/reference_mid.py`` and
 ``tests/reference_finite.py``, and the tests require identical reports.
@@ -53,7 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -89,7 +79,6 @@ from multidist.online import (
     SimplexWeights,
     _check_eta,
     _check_exp3_rates,
-    _check_simplex,
     _check_simplex_rows,
     _exp3_step,
     _project_capped,
@@ -291,6 +280,70 @@ def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
 
 
 # ---------------------------------------------------------------------------
+# the Hedge loop of the finite and mid dynamics
+
+
+def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
+                adversary: _Exp3 | _CappedHedge, rng: np.random.Generator,
+                ledger: SampleLedger, record_trace: bool, trace: list[dict]) -> np.ndarray:
+    """T rounds of Hedge at rate eta over the rows of the 0/1 `matrix`
+    against `adversary`; returns the learner's mean weights.  A round pays
+    the costs of the atom drawn from the adversary's mixture; the adversary,
+    handed the learner before its step, names the coordinate it updates
+    and its feedback there."""
+    _check_eta(eta)
+    k = instance.k
+    # The costs of a drawn (point, label) and their Hedge factors are the
+    # same every time it is drawn, so each is computed once; keys[i][a] is
+    # distribution i's atom a.  Only drawn atoms get rows, which bounds the
+    # memory by the support, not by the domain.
+    rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    dists = instance.distributions
+    keys = [list(zip(d.points.tolist(), d.labels.tolist())) for d in dists]
+    learner = SimplexWeights.uniform(len(matrix)).w
+    mean_weights = np.zeros(len(matrix))
+    check_rows = max(1, min(_CHECK_ROWS, _CHECK_ENTRIES // len(matrix)))
+    learner_rows, adversary_rows = (np.empty((check_rows, d)) for d in (len(matrix), k))
+    oracle, feedback, step = adversary.oracle, adversary.feedback, adversary.step
+    key, cap = adversary.trace_key, adversary.cap
+    pending = 0
+    try:
+        for start in range(0, T, _PAIR_BLOCK):
+            u = rng.random((min(_PAIR_BLOCK, T - start), adversary.width))
+            queries = adversary.queries(instance, u, ledger)
+            counts = [0] * k
+            for t, u1, u2, query in zip(range(start, T), u[:, 0].tolist(),
+                                        u[:, 1].tolist(), queries):
+                mean_weights += learner
+                i = oracle(u1)
+                counts[i] += 1
+                atom = keys[i][dists[i].atom_index(u2)]
+                if atom not in rows:
+                    costs = (matrix[:, atom[0]] != atom[1]).astype(np.float64)
+                    rows[atom] = costs, np.exp(-eta * costs)
+                costs, factors = rows[atom]
+                chosen, value = feedback(learner, costs, i, query)
+                if record_trace:
+                    trace.append({"t": t, "adversary": adversary.w.tolist(),
+                                  "learner_id": int(np.argmax(learner)),
+                                  "chosen": chosen, key: value})
+                scaled = np.multiply(learner, factors, out=learner_rows[pending])
+                learner = np.divide(scaled, np.add.reduce(scaled), out=scaled)
+                step(chosen, value)
+                adversary_rows[pending] = adversary.w
+                pending += 1
+                if pending == check_rows:
+                    pending = 0
+                    _check_simplex_rows(learner_rows, adversary_rows, cap=cap)
+            for i, n in enumerate(counts):
+                ledger.record(i, n)
+    finally:  # the last rounds, or those before the round that raised
+        _check_simplex_rows(learner_rows[:pending], adversary_rows[:pending], cap=cap)
+    mean_weights /= T
+    return mean_weights
+
+
+# ---------------------------------------------------------------------------
 # finite dynamics: Hedge learner vs Exp3 adversary, one query per round
 
 
@@ -304,77 +357,49 @@ def _finite_schedule(class_size: int, k: int, epsilon: float, delta: float,
     return T, eta_learner, eta_exp3, exploration
 
 
-def _atom_blocks(instance: MdlInstance, rng: np.random.Generator, count: int
-                 ) -> Iterator[tuple[int, list[float], list[list[int]]]]:
-    """`count` finite rounds' draws in blocks of _PAIR_BLOCK rounds, each as
-    (first round, oracle uniforms, every distribution's atom indices at the
-    atom uniforms).  A block's ``rng.random(2 * m)`` is what 2 * m scalar
-    ``rng.random()`` calls return (oracle, then atom, per round), the last
-    block cut to size, so the generator ends where those calls leave it."""
-    for start in range(0, count, _PAIR_BLOCK):
-        u = rng.random(2 * min(_PAIR_BLOCK, count - start))
-        yield start, u[0::2].tolist(), [dist.atom_index(u[1::2]).tolist()
-                                        for dist in instance.distributions]
+class _Exp3:
+    """The finite adversary: Exp3 over the k distributions, on the one
+    query a round that the learner also pays on.  It plays the mixture's
+    draw and banks the learner mixture's loss there as payoff; its weights
+    are updated in place."""
+
+    width, cap, trace_key = 2, None, "observed_loss"
+
+    def __init__(self, k: int, eta: float, exploration: float):
+        _check_exp3_rates(eta, exploration)
+        self.w = SimplexWeights.uniform(k).w
+        self.eta, self.exploration = eta, exploration
+
+    def queries(self, instance: MdlInstance, u: np.ndarray, ledger: SampleLedger):
+        return repeat(None, len(u))
+
+    def oracle(self, u: float) -> int:
+        return _mixture_index(self.w, u)
+
+    def feedback(self, learner: np.ndarray, costs: np.ndarray, i: int,
+                 query: None) -> tuple[int, float]:
+        # Rounding can put the mixture's loss an ulp above 1, which would
+        # hand Exp3 a negative cost.
+        loss = min(1.0, float(learner @ costs))
+        if not 0.0 <= 1.0 - loss <= 1.0:
+            raise ValueError("observed cost must be in [0, 1]")
+        return i, loss
+
+    def step(self, chosen: int, loss: float) -> None:
+        _exp3_step(self.w, chosen, 1.0 - loss, self.eta, self.exploration)
 
 
 def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
                  delta: float, rng: np.random.Generator, ledger: SampleLedger,
                  C: float, record_trace: bool,
                  trace: list[dict]) -> tuple[RandomizedHypothesis, dict]:
-    k = instance.k
     class_size = len(hclass)
     T, eta_learner, eta_exp3, exploration = _finite_schedule(
-        class_size, k, epsilon, delta, C)
+        class_size, instance.k, epsilon, delta, C)
     _check_queries(ledger.total + T)
-    # Plain arrays, as in the mid loop (see the module docstring).  The costs
-    # of a drawn (point, label) and their Hedge factors are the same every
-    # time it is drawn, so each is computed once; keys[i][a] is distribution
-    # i's atom a.  Only drawn atoms get rows, which bounds the memory by the
-    # support, not by the domain.
-    rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    keys = [list(zip(d.points.tolist(), d.labels.tolist())) for d in instance.distributions]
-    _check_eta(eta_learner)
-    _check_exp3_rates(eta_exp3, exploration)
-    learner = SimplexWeights.uniform(class_size).w
-    adversary = SimplexWeights.uniform(k).w
-    mean_weights = np.zeros(class_size)
-    check_rows = max(1, min(_CHECK_ROWS, _CHECK_ENTRIES // class_size))
-    learner_rows, adversary_rows = (np.empty((check_rows, d)) for d in (class_size, k))
-    pending = 0
-    try:
-        for start, u_oracle, atoms in _atom_blocks(instance, rng, T):
-            counts = [0] * k
-            for j, u in enumerate(u_oracle):
-                mean_weights += learner
-                chosen = _mixture_index(adversary, u)
-                counts[chosen] += 1
-                atom = keys[chosen][atoms[chosen][j]]
-                if atom not in rows:
-                    costs = (hclass.matrix[:, atom[0]] != atom[1]).astype(np.float64)
-                    rows[atom] = costs, np.exp(-eta_learner * costs)
-                costs, factors = rows[atom]
-                # Rounding can put the mixture's loss an ulp above 1, which
-                # would hand Exp3 a negative cost.
-                observed_loss = min(1.0, float(learner @ costs))
-                if not 0.0 <= 1.0 - observed_loss <= 1.0:
-                    raise ValueError("observed cost must be in [0, 1]")
-                if record_trace:
-                    trace.append({"t": start + j, "adversary": adversary.tolist(),
-                                  "learner_id": int(np.argmax(learner)),
-                                  "chosen": chosen, "observed_loss": observed_loss})
-                scaled = np.multiply(learner, factors, out=learner_rows[pending])
-                learner = np.divide(scaled, np.add.reduce(scaled), out=scaled)
-                _exp3_step(adversary, chosen, 1.0 - observed_loss, eta_exp3, exploration)
-                adversary_rows[pending] = adversary
-                pending += 1
-                if pending == check_rows:
-                    pending = 0
-                    _check_simplex_rows(learner_rows, adversary_rows)
-            for i, n in enumerate(counts):
-                ledger.record(i, n)
-    finally:  # the last rounds, or those before the round that raised
-        _check_simplex_rows(learner_rows[:pending], adversary_rows[:pending])
-    mean_weights /= T
+    adversary = _Exp3(instance.k, eta_exp3, exploration)
+    mean_weights = _hedge_loop(instance, hclass.matrix, T, eta_learner, adversary,
+                               rng, ledger, record_trace, trace)
     meta = {"T": T, "eta_learner": eta_learner, "eta_exp3": eta_exp3,
             "exploration": exploration, "class_size": class_size}
     return RandomizedHypothesis(hclass.matrix, mean_weights), meta
@@ -485,6 +510,57 @@ def _mid_schedule(epsilon: float, delta: float, k: int, d: int,
             "term1": term1, "term2": term2}
 
 
+class _CappedHedge:
+    """The mid adversary: Hedge on the 2-smooth simplex (each weight at most
+    `cap`), fed a one-sample estimate at its own uniform oracle.
+
+    That query does not depend on the game, so a block's queries are drawn
+    at once, one batch per oracle: the oracle is floor(u * k) of the third
+    uniform (always below k, since ``random()`` never exceeds 1 - 2^-53, and
+    within k * 2^-53 of uniform), the atom is at the fourth.  The estimate
+    reads the learner's labels at the drawn point as a row of the transposed
+    class matrix.  It is one-hot, so the Hedge step scales the chosen weight
+    alone before the capped projection.
+    """
+
+    width, trace_key = 4, "estimate"
+
+    def __init__(self, k: int, matrix: np.ndarray, eta: float, cap: float,
+                 estimator: str):
+        _check_eta(eta)
+        self.w = SimplexWeights.uniform(k, cap=cap).w
+        self.k, self.eta, self.cap, self.estimator = k, eta, cap, estimator
+        self.labels_at = np.ascontiguousarray(matrix.T, dtype=np.float64)
+
+    def queries(self, instance: MdlInstance, u: np.ndarray, ledger: SampleLedger):
+        chosen = (u[:, 2] * self.k).astype(np.int64)
+        points, labels = _draws(instance, chosen, u[:, 3], ledger)
+        return zip(chosen.tolist(), points.tolist(), labels.tolist())
+
+    def oracle(self, u: float) -> int:
+        return _mixture_index(self.w / np.add.reduce(self.w), u)
+
+    def feedback(self, learner: np.ndarray, costs: np.ndarray, i: int,
+                 query: tuple[int, int, int]) -> tuple[int, float]:
+        chosen, x, y = query
+        # with every weight positive, the mask would keep them all, so the
+        # learner's total is the normalizer
+        total = (float(np.add.reduce(learner))
+                 if float(np.minimum.reduce(learner)) > 0 else None)
+        p1 = _prediction_at(learner, self.labels_at[x], total)
+        value = _estimate_value(_label_loss(p1, y), self.k, float(self.w[chosen]),
+                                self.estimator)
+        if not -SUM_TOL <= value <= self.k + SUM_TOL:
+            raise ValueError(f"adversary estimate {value!r} outside [0, {self.k}]")
+        return chosen, value
+
+    def step(self, chosen: int, value: float) -> None:
+        # every other coordinate's factor would be exp(-0.0) = 1
+        scaled = self.w.copy()
+        scaled[chosen] *= np.exp(-self.eta * value)
+        self.w = _project_capped(scaled, self.cap)
+
+
 def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
             constants: dict[str, float] | None = None, estimator: str = "unbiased",
             vc_dim: int | None = None, record_trace: bool = True) -> RunReport:
@@ -514,84 +590,10 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     matrix = sub.matrix
     eta_learner = _clamp_rate(math.sqrt(math.log(max(len(sub), 2)) / sched["T"]))
 
-    # Plain arrays, with the public steps' RNG calls and arithmetic in their
-    # order (see the module docstring).  The rates and the cap are constant,
-    # so they are checked once, here; the estimate every round, and every
-    # round's weights in stacks, as in the finite loop.
-    cap, eta_adversary = sched["cap"], sched["eta_adversary"]
-    _check_eta(eta_learner)
-    _check_eta(eta_adversary)
-    learner = SimplexWeights.uniform(len(sub)).w
-    adversary = SimplexWeights.uniform(k, cap=cap).w
-    learner_min, learner_total = _check_simplex(learner, None)
-    _, adversary_total = _check_simplex(adversary, cap)
-    # The learner's Hedge factors at a drawn (point, label) are the same
-    # every time it is drawn, so each row is computed once; keys[i][a] is
-    # distribution i's atom a.  A point's labels under the learner's
-    # hypotheses are one row of the transpose, as floats for the products.
-    factor_rows: dict[tuple[int, int], np.ndarray] = {}
-    dists = instance.distributions
-    keys = [list(zip(dist.points.tolist(), dist.labels.tolist())) for dist in dists]
-    labels_at = np.ascontiguousarray(matrix.T, dtype=np.float64)
-    mean_weights = np.zeros(len(sub))
-    check_rows = max(1, min(_CHECK_ROWS, _CHECK_ENTRIES // len(sub)))
-    learner_rows, adversary_rows = (np.empty((check_rows, width)) for width in (len(sub), k))
-    pending = 0
+    adversary = _CappedHedge(k, matrix, sched["eta_adversary"], sched["cap"], estimator)
     trace: list[dict] = []
-    T = sched["T"]
-    try:
-        for start in range(0, T, _PAIR_BLOCK):
-            count = min(_PAIR_BLOCK, T - start)
-            # per round: the mixture's oracle and atom, the estimate's oracle
-            # and atom; floor(u * k) <= k - 1 for every u that random() returns
-            u = rng.random((count, 4))
-            chosen_block = (u[:, 2] * k).astype(np.int64)
-            # The estimate's query (a uniform oracle, then an atom of it) does
-            # not depend on the game, so the block's queries are drawn at once.
-            points, labels = _draws(instance, chosen_block, u[:, 3], ledger)
-            counts = [0] * k
-            for t, u1, u2, chosen, x2, y2 in zip(
-                    range(start, start + count), u[:, 0].tolist(), u[:, 1].tolist(),
-                    chosen_block.tolist(), points.tolist(), labels.tolist()):
-                mean_weights += learner
-                i = _mixture_index(adversary / adversary_total, u1)
-                counts[i] += 1
-                atom = keys[i][dists[i].atom_index(u2)]
-                if atom not in factor_rows:
-                    factor_rows[atom] = np.exp(-eta_learner * (matrix[:, atom[0]] != atom[1]))
-                # with every weight positive, the mask would keep them all, so
-                # the learner's total is the normalizer
-                p1 = _prediction_at(learner, labels_at[x2],
-                                    learner_total if learner_min > 0 else None)
-                value = _estimate_value(_label_loss(p1, y2), k, float(adversary[chosen]),
-                                        estimator)
-                if not -SUM_TOL <= value <= k + SUM_TOL:
-                    raise ValueError(f"adversary estimate {value!r} outside [0, {k}]")
-                if record_trace:
-                    trace.append({"t": t, "adversary": adversary.tolist(),
-                                  "learner_id": int(np.argmax(learner)),
-                                  "chosen": chosen, "estimate": value})
-                scaled = np.multiply(learner, factor_rows[atom], out=learner_rows[pending])
-                learner = np.divide(scaled, np.add.reduce(scaled), out=scaled)
-                # The estimate is one-hot: every other coordinate's factor is
-                # exp(-0.0) = 1, so only the chosen weight is scaled.
-                scaled = adversary.copy()
-                scaled[chosen] *= np.exp(-eta_adversary * value)
-                adversary = _project_capped(scaled, cap)
-                adversary_rows[pending] = adversary
-                # the bits _check_simplex returns, for the next round
-                learner_min = float(np.minimum.reduce(learner))
-                learner_total = float(np.add.reduce(learner))
-                adversary_total = float(np.add.reduce(adversary))
-                pending += 1
-                if pending == check_rows:
-                    pending = 0
-                    _check_simplex_rows(learner_rows, adversary_rows, cap=cap)
-            for i, n in enumerate(counts):
-                ledger.record(i, n)
-    finally:  # the last rounds, or those before the round that raised
-        _check_simplex_rows(learner_rows[:pending], adversary_rows[:pending], cap=cap)
-    mean_weights /= T
+    mean_weights = _hedge_loop(instance, matrix, sched["T"], eta_learner, adversary,
+                               rng, ledger, record_trace, trace)
     config = {"epsilon": epsilon, "delta": delta, "constants": cons,
               "estimator": estimator, "vc_dim": d, "eta_learner": eta_learner,
               "cover_behaviors": cover.behavior_count, **sched}

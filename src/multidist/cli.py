@@ -263,6 +263,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _base_task(args, algo: str | None = None) -> dict:
+    # the evaluation's slack for every algorithm; fast also bounds it itself
+    if not 0.0 <= args.alpha < math.inf:
+        raise ValueError(f"--alpha must be nonnegative and finite, got {args.alpha!r}")
     return {
         "algo": algo or args.algo,
         "instance_path": getattr(args, "instance", None),

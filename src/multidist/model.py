@@ -9,17 +9,17 @@ Every class is built from one 0/1 matrix; ``first_distinct_rows`` is the
 one row dedupe, for classes and for ``cover.projection_cover`` alike.  It
 packs each row into bytes and sorts one opaque key per row.
 
-The public oracles validate their arguments and then call the private
-draws (``_draw``, ``_mixture_index``, ``_mixture_draw``); the dynamics loops
-call ``_mixture_index`` every round, look atoms up with ``atom_index``
-directly and ledger a block of rounds' draws at once.  The private draws
-take their uniforms as arguments, one scalar ``rng.random()`` each (the
-same double and generator state as ``rng.random(1)``), so a loop may also
-draw them in blocks: every draw is one double of the stream.
-``_mixture_index`` repeats the arithmetic of ``rng.choice(k, p=p)``, so a
-loop that uses it draws the same oracles from the same generator state.
-``_draws`` looks up a batch of atoms from given oracles at given uniforms,
-one lookup per oracle.
+The public oracles validate their arguments and then draw through one
+private path, ``_draws``: it looks up a batch of atoms from given oracles at
+given uniforms, one lookup per oracle, and ledgers each oracle's count at
+once.  The scalar oracles hand it one-element arrays, after
+``_mixture_index`` for the mixture.  Every draw is one double of the stream
+(``rng.random(m)`` gives the doubles of m scalar ``rng.random()`` calls), so
+a loop may draw its uniforms in blocks.  The dynamics loop calls
+``_mixture_index`` every round, looks atoms up with ``atom_index`` directly
+and ledgers a block of rounds' draws at once.  ``_mixture_index`` repeats
+the arithmetic of ``rng.choice(k, p=p)``, so a loop that uses it draws the
+same oracles from the same generator state.
 Every atom, scalar or batched, is looked up by one inverse-CDF method,
 ``FiniteDistribution.atom_index``: a float by ``bisect_right`` on a list
 copy of the CDF, an array by ``searchsorted``.
@@ -101,10 +101,11 @@ def derive_seed(*parts: int) -> int:
 
 
 def _normalized(probs: np.ndarray, what: str) -> np.ndarray:
-    if probs.min() < 0:
-        raise ValueError(f"{what}: negative probability")
+    # both tests are written so that a NaN fails them
+    if not probs.min() >= 0:
+        raise ValueError(f"{what}: negative or NaN probability")
     total = float(probs.sum())
-    if abs(total - 1.0) > RENORM_TOL:
+    if not abs(total - 1.0) <= RENORM_TOL:
         raise ValueError(f"{what}: probabilities sum to {total!r}, not 1")
     return probs / total
 
@@ -491,16 +492,6 @@ def exact_loss(dist: FiniteDistribution,
     return float(per_atom @ dist.probs)
 
 
-def _draw(instance: MdlInstance, i: int, u: float,
-          ledger: SampleLedger) -> tuple[int, int]:
-    """One ledgered draw from distribution i at the uniform u, as
-    (point, label); i unchecked."""
-    dist = instance.distributions[i]
-    idx = dist.atom_index(u)
-    ledger.record(i, 1)
-    return int(dist.points[idx]), int(dist.labels[idx])
-
-
 def _mixture_index(p: np.ndarray, u: float) -> int:
     """Index drawn at the uniform u with probabilities p (nonnegative,
     normalized, unchecked).
@@ -513,14 +504,6 @@ def _mixture_index(p: np.ndarray, u: float) -> int:
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(u, side="right"))
-
-
-def _mixture_draw(instance: MdlInstance, p: np.ndarray, rng: np.random.Generator,
-                  ledger: SampleLedger) -> tuple[int, int]:
-    """One ledgered draw from the mixture with normalized weights p: the
-    first uniform picks the distribution, the second the atom."""
-    i = _mixture_index(p, rng.random())
-    return _draw(instance, i, rng.random(), ledger)
 
 
 def _draws(instance: MdlInstance, oracles: np.ndarray, u: np.ndarray,
@@ -545,7 +528,8 @@ def oracle_sample(instance: MdlInstance, i: int, rng: np.random.Generator,
     """One ledgered draw from distribution i."""
     if not 0 <= i < instance.k:
         raise IndexError(f"oracle {i} out of range")
-    return LabeledExample(*_draw(instance, i, rng.random(), ledger))
+    points, labels = _draws(instance, np.array([i]), rng.random(1), ledger)
+    return LabeledExample(int(points[0]), int(labels[0]))
 
 
 def oracle_sample_many(instance: MdlInstance, i: int, count: int,
@@ -573,7 +557,10 @@ def mixture_sample(instance: MdlInstance, weights: Sequence[float],
                    rng: np.random.Generator, ledger: SampleLedger) -> LabeledExample:
     """One draw from the weighted mixture of oracles; one ledger increment."""
     w = _check_mixture(np.asarray(weights), instance.k)
-    return LabeledExample(*_mixture_draw(instance, w, rng, ledger))
+    # the first uniform picks the distribution, the second the atom
+    u = rng.random(2)
+    points, labels = _draws(instance, np.array([_mixture_index(w, u[0])]), u[1:], ledger)
+    return LabeledExample(int(points[0]), int(labels[0]))
 
 
 def mixture_sample_many(instance: MdlInstance, weights: Sequence[float], count: int,

@@ -243,6 +243,22 @@ class TestSolve:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_mass_exit_code(self, tmp_path, capsys):
+        # a NaN mass once loaded, and the report read "max_loss": NaN
+        inst = MdlInstance(2, [FiniteDistribution([(0, 0, 0.5), (1, 1, 0.5)])],
+                           HypothesisClass([[0, 1], [1, 1]]))
+        obj = inst.to_dict()
+        obj["distributions"][0][0][2] = float("nan")
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        assert "NaN" in path.read_text()
+        out = tmp_path / "r.json"
+        code = run_cli("solve", "--algo", "finite", "--instance", str(path),
+                       "--out", str(out))
+        assert code == 2
+        assert "FiniteDistribution" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["1e308", "1e200"])
     @pytest.mark.parametrize("algo, key", [
         ("mid", "C"), ("mid", "Cprime"), ("fast", "C1"), ("fast", "C2"),
@@ -271,7 +287,7 @@ class TestSolve:
         def never(*args, **kwargs):
             raise AssertionError("the run drew before its query guard")
 
-        for name in ("mixture_sample_many", "oracle_sample_many", "_atom_blocks"):
+        for name in ("mixture_sample_many", "oracle_sample_many", "_hedge_loop"):
             monkeypatch.setattr(algos, name, never)
         out = tmp_path / "r.json"
         start = time.perf_counter()
@@ -329,6 +345,25 @@ def test_bad_constant_rejected_before_generation(command, algo, pair, tmp_path,
     assert code == 2
     key = pair.split("=")[0]
     assert f"constant {key} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-3"])
+@pytest.mark.parametrize("command, algo", [("solve", "mid"), ("sweep", "cover_finite"),
+                                           ("audit", "finite")])
+def test_bad_alpha_rejected_before_any_cell(command, algo, alpha, tmp_path,
+                                            monkeypatch, capsys):
+    # once only fast checked alpha: a NaN slack was reported, a negative one
+    # failed every audit trial
+    def run_cell(*args):
+        pytest.fail("a cell ran before --alpha was checked")
+
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
+    out = tmp_path / "out"
+    code = run_cli(command, "--algo", algo, "--family", "random",
+                   f"--alpha={alpha}", "--out", str(out))
+    assert code == 2
+    assert "--alpha must be nonnegative and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -78,22 +78,13 @@ class TestAgainstReference:
 
 
 class TestBlockDrawnUniforms:
-    @pytest.mark.parametrize("count", [0, 1, 6, 7, 8, 23])
-    def test_pairs_match_scalar_draws(self, count, monkeypatch):
-        # each round's oracle uniform, and every distribution's atom at its
-        # atom uniform, as 2 * count scalar draws would give them
-        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
-        inst = suite_instance(5)
-        ours, theirs = make_rng(8206), make_rng(8206)
-        blocks = list(algos._atom_blocks(inst, ours, count))
-        pairs = [(theirs.random(), theirs.random()) for _ in range(count)]
-        assert [(start, len(u)) for start, u, _ in blocks] == [
-            (s, min(7, count - s)) for s in range(0, count, 7)]
-        assert [u for _, block, _ in blocks for u in block] == [u for u, _ in pairs]
-        for i, dist in enumerate(inst.distributions):
-            assert ([a for _, _, atoms in blocks for a in atoms[i]]
-                    == [int(dist.atom_index(u)) for _, u in pairs])
-        assert ours.bit_generator.state == theirs.bit_generator.state
+    def test_reports_identical_with_one_round_blocks(self, monkeypatch):
+        # a (1, 2) block of doubles per round reads the stream the scalar
+        # reference reads, the oracle's double, then the atom's
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 1)
+        cases = [(f"suite member {s}", suite_instance(s), 0.45, 0.3, 0.3,
+                  derive_seed(8206, s)) for s in range(0, 40, 8)]
+        _assert_same_as_reference(monkeypatch, cases)
 
     def test_reports_identical_across_blocks(self, monkeypatch):
         # small blocks, so every run spans several, the last one cut short
@@ -121,9 +112,9 @@ class TestCheckStacks:
                  "T = B + 1": T - 1, "B = 1": 1, "stacks straddle blocks": 5}[edge]
             sizes = []
 
-            def counted(*stacks):
+            def counted(*stacks, cap=None):
                 sizes.append(len(stacks[0]))
-                real_check(*stacks)
+                real_check(*stacks, cap=cap)
 
             with monkeypatch.context() as m:
                 m.setattr(algos, "_CHECK_ROWS", B)

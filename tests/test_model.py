@@ -19,7 +19,6 @@ from multidist.model import (
     MdlInstance,
     RandomizedHypothesis,
     SampleLedger,
-    _draw,
     brute_force_vc,
     exact_loss,
     make_rng,
@@ -128,6 +127,11 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError):
             FiniteDistribution([(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("mass", [[np.nan, 1.0], [1.0, np.nan]])
+    def test_rejects_nan_mass(self, mass):
+        with pytest.raises(ValueError, match="FiniteDistribution"):
+            FiniteDistribution([(0, 0, mass[0]), (1, 1, mass[1])])
+
 
 class TestInverseCdf:
     @given(d=distributions(), seed=st.integers(0, 2**32 - 1))
@@ -184,7 +188,7 @@ class TestInverseCdf:
         ours, theirs = make_rng(seed), make_rng(seed)
         for _ in range(20):
             idx = int(d.draw_indices(1, theirs)[0])
-            assert _draw(inst, 0, ours.random(), ledger) == (
+            assert oracle_sample(inst, 0, ours, ledger) == LabeledExample(
                 int(d.points[idx]), int(d.labels[idx]))
             assert ours.bit_generator.state == theirs.bit_generator.state
         assert ledger.per_oracle == [20]
@@ -259,6 +263,15 @@ class TestMixtureSample:
         inst = _instance([FiniteDistribution([(0, 0, 1.0)])])
         with pytest.raises(ValueError):
             mixture_sample(inst, [0.5, 0.5], make_rng(0), SampleLedger(1))
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]])
+    def test_rejects_nan_weights(self, weights):
+        inst = _instance([FiniteDistribution([(0, 0, 1.0)]),
+                          FiniteDistribution([(1, 1, 1.0)])])
+        ledger = SampleLedger(2)
+        with pytest.raises(ValueError, match="mixture weights"):
+            mixture_sample(inst, weights, make_rng(0), ledger)
+        assert ledger.total == 0
 
 
 def _shatters(matrix: np.ndarray, subset: tuple[int, ...]) -> bool:
