@@ -9,10 +9,12 @@ query totals in every report can be checked against the predicted budgets.
 The finite and mid dynamics are one game, played by one loop,
 ``_hedge_loop``: a Hedge learner over the rows of a class matrix against an
 adversary over the k distributions.  The loop is the learner side, written
-once; the adversary is one of two small objects, ``_Exp3`` (finite: bandit
-feedback on the query the learner pays on) and ``_CappedHedge`` (mid: a
-capped Hedge fed a one-sample estimate at its own uniform oracle), and the
-loop never asks which it runs.  Both sides run on plain weight arrays
+once, and it draws each round's distribution from the adversary's weights
+itself.  The adversary is one of two small objects, ``_Exp3`` (finite:
+bandit feedback on the query the learner pays on) and ``_CappedHedge``
+(mid: a capped Hedge fed a one-sample estimate at its own uniform oracle),
+each no more than its block ``queries``, its ``feedback`` and its ``step``;
+the loop never asks which it runs.  Both sides run on plain weight arrays
 through the private steps that the public wrappers (``mixture_sample``,
 ``oracle_sample``, ``hedge_step_cost``, ``project_capped``, ``exp3_step``,
 ``mid_adversary_estimate``) validate and call, and check what those
@@ -27,12 +29,18 @@ before the loop.
 
 Per run, the loop computes each drawn (point, label)'s cost and Hedge
 factor rows once, and scales and normalizes the learner in place, in its
-row of the check stack.  It takes its randomness in blocks of
+row of the check stack; the learner's mean rides that stack too, summed
+once per stack in row order.  It takes its randomness in blocks of
 ``_PAIR_BLOCK`` rounds, one double of the stream per draw
 (``rng.random((count, width))``, so a block boundary does not move the
 stream): each round's mixture oracle and atom, then the adversary's own
 query, if it has one; and it ledgers each block's per-oracle counts at
-once.  All of these give the bits the public steps give.  The fast loop
+once.  The mid adversary knows its learner's weights are positive from a
+lower bound it carries from round to round, and takes their minimum only
+once that bound nears underflow.  All of these give the bits the public
+steps give, but one: the mixture is drawn from the capped adversary's
+weights as they are, not divided by their total first, which can move a
+draw only at a uniform within an ulp or so of a CDF edge.  The fast loop
 keeps its public steps, since its cost is the ERM scan.  The object-level
 loops these replaced are kept in ``tests/reference_mid.py`` and
 ``tests/reference_finite.py``, and the tests require identical reports.
@@ -101,6 +109,12 @@ _RATE_CEIL = 0.5
 # _CHECK_ENTRIES learner weights (256 KB): 32 rounds at |H| = 1024.
 _PAIR_BLOCK = 4096
 _CHECK_ROWS, _CHECK_ENTRIES = 128, 32_768
+
+# A relative error far above that of one Hedge round's multiply, pairwise sum
+# and divide, and a floor on the mid learner's weight bound more than 10^17
+# above the smallest normal double (see _CappedHedge).
+_ROUNDING = 2.0 ** -40
+_POSITIVE = 1e-290
 
 # A schedule of more queries (about 130 times the T of that k = 64 run) would
 # run for days or exhaust memory, so a run checks its budget before drawing.
@@ -300,11 +314,17 @@ def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
     rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     dists = instance.distributions
     keys = [list(zip(d.points.tolist(), d.labels.tolist())) for d in dists]
-    learner = SimplexWeights.uniform(len(matrix)).w
-    mean_weights = np.zeros(len(matrix))
     check_rows = max(1, min(_CHECK_ROWS, _CHECK_ENTRIES // len(matrix)))
-    learner_rows, adversary_rows = (np.empty((check_rows, d)) for d in (len(matrix), k))
-    oracle, feedback, step = adversary.oracle, adversary.feedback, adversary.step
+    # The learner's check stack also carries its mean: row 0 holds the sum
+    # of the learners of the rounds before the stack, row 1 the learner its
+    # first round starts from, and the rows after it each round's stepped
+    # learner.  One axis-0 sum per stack adds each column in row order, so
+    # the mean has the bits of a per-round `+=`.
+    stack = np.zeros((check_rows + 2, len(matrix)))
+    learner = stack[1]
+    learner[:] = SimplexWeights.uniform(len(matrix)).w
+    learner_rows, adversary_rows = stack[2:], np.empty((check_rows, k))
+    feedback, step = adversary.feedback, adversary.step
     key, cap = adversary.trace_key, adversary.cap
     pending = 0
     try:
@@ -314,8 +334,7 @@ def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
             counts = [0] * k
             for t, u1, u2, query in zip(range(start, T), u[:, 0].tolist(),
                                         u[:, 1].tolist(), queries):
-                mean_weights += learner
-                i = oracle(u1)
+                i = _mixture_index(adversary.w, u1)
                 counts[i] += 1
                 atom = keys[i][dists[i].atom_index(u2)]
                 if atom not in rows:
@@ -335,12 +354,14 @@ def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
                 if pending == check_rows:
                     pending = 0
                     _check_simplex_rows(learner_rows, adversary_rows, cap=cap)
+                    stack[0] = np.add.reduce(stack[:-1], axis=0)
+                    stack[1] = learner
+                    learner = stack[1]
             for i, n in enumerate(counts):
                 ledger.record(i, n)
     finally:  # the last rounds, or those before the round that raised
         _check_simplex_rows(learner_rows[:pending], adversary_rows[:pending], cap=cap)
-    mean_weights /= T
-    return mean_weights
+    return np.add.reduce(stack[:pending + 1], axis=0) / T
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +393,6 @@ class _Exp3:
 
     def queries(self, instance: MdlInstance, u: np.ndarray, ledger: SampleLedger):
         return repeat(None, len(u))
-
-    def oracle(self, u: float) -> int:
-        return _mixture_index(self.w, u)
 
     def feedback(self, learner: np.ndarray, costs: np.ndarray, i: int,
                  query: None) -> tuple[int, float]:
@@ -521,44 +539,53 @@ class _CappedHedge:
     reads the learner's labels at the drawn point as a row of the transposed
     class matrix.  It is one-hot, so the Hedge step scales the chosen weight
     alone before the capped projection.
+
+    Scoring the learner needs to know whether some learner weight has
+    underflowed to 0.0.  A round scales each weight by at least
+    e^-eta_learner and divides by a total of at most 1, up to rounding, so
+    ``low`` is a lower bound on the smallest weight: 1 / |sub| at the start,
+    times ``decay`` a round.  While it stays above ``_POSITIVE`` no weight
+    can be zero; below it, a round takes the exact minimum, and starts the
+    bound again from there.
     """
 
     width, trace_key = 4, "estimate"
 
     def __init__(self, k: int, matrix: np.ndarray, eta: float, cap: float,
-                 estimator: str):
+                 estimator: str, eta_learner: float):
         _check_eta(eta)
         self.w = SimplexWeights.uniform(k, cap=cap).w
         self.k, self.eta, self.cap, self.estimator = k, eta, cap, estimator
         self.labels_at = np.ascontiguousarray(matrix.T, dtype=np.float64)
+        self.low = 1.0 / len(matrix)
+        self.decay = math.exp(-eta_learner) * (1.0 - _ROUNDING)
 
     def queries(self, instance: MdlInstance, u: np.ndarray, ledger: SampleLedger):
         chosen = (u[:, 2] * self.k).astype(np.int64)
         points, labels = _draws(instance, chosen, u[:, 3], ledger)
         return zip(chosen.tolist(), points.tolist(), labels.tolist())
 
-    def oracle(self, u: float) -> int:
-        return _mixture_index(self.w / np.add.reduce(self.w), u)
-
     def feedback(self, learner: np.ndarray, costs: np.ndarray, i: int,
                  query: tuple[int, int, int]) -> tuple[int, float]:
         chosen, x, y = query
         # with every weight positive, the mask would keep them all, so the
         # learner's total is the normalizer
-        total = (float(np.add.reduce(learner))
-                 if float(np.minimum.reduce(learner)) > 0 else None)
+        if not self.low > _POSITIVE:
+            self.low = float(np.minimum.reduce(learner))
+        total = float(np.add.reduce(learner)) if self.low > 0 else None
+        self.low *= self.decay
         p1 = _prediction_at(learner, self.labels_at[x], total)
-        value = _estimate_value(_label_loss(p1, y), self.k, float(self.w[chosen]),
-                                self.estimator)
+        weight = float(self.w[chosen]) if self.estimator == "literal" else 1.0
+        value = _estimate_value(_label_loss(p1, y), self.k, weight, self.estimator)
         if not -SUM_TOL <= value <= self.k + SUM_TOL:
             raise ValueError(f"adversary estimate {value!r} outside [0, {self.k}]")
         return chosen, value
 
     def step(self, chosen: int, value: float) -> None:
-        # every other coordinate's factor would be exp(-0.0) = 1
-        scaled = self.w.copy()
-        scaled[chosen] *= np.exp(-self.eta * value)
-        self.w = _project_capped(scaled, self.cap)
+        # every other coordinate's factor would be exp(-0.0) = 1; the check
+        # stack holds a copy of the weights, so they are scaled in place
+        self.w[chosen] *= np.exp(-self.eta * value)
+        self.w = _project_capped(self.w, self.cap)
 
 
 def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
@@ -590,7 +617,8 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     matrix = sub.matrix
     eta_learner = _clamp_rate(math.sqrt(math.log(max(len(sub), 2)) / sched["T"]))
 
-    adversary = _CappedHedge(k, matrix, sched["eta_adversary"], sched["cap"], estimator)
+    adversary = _CappedHedge(k, matrix, sched["eta_adversary"], sched["cap"], estimator,
+                             eta_learner)
     trace: list[dict] = []
     mean_weights = _hedge_loop(instance, matrix, sched["T"], eta_learner, adversary,
                                rng, ledger, record_trace, trace)

@@ -314,13 +314,29 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _grid(flag: str, text: str, parse, ok, need: str) -> list:
+    """The comma list `text` of `flag`, each item parsed and checked by
+    `ok`; a bad item is named with its flag before any cell runs."""
+    items = []
+    for item in text.split(","):
+        try:
+            value = parse(item)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"{flag} expects {need}, got {item!r}")
+        items.append(value)
+    return items
+
+
 def _sweep_tasks(args) -> list[dict]:
-    eps_grid = [float(x) for x in args.grid_epsilon.split(",")] \
-        if args.grid_epsilon else [args.epsilon]
-    k_grid = [int(x) for x in args.grid_k.split(",")] if args.grid_k else [args.k]
-    seeds = [int(x) for x in args.seeds.split(",")]
-    if not eps_grid or not k_grid or not seeds:
-        raise ValueError("sweep grids and seeds must be nonempty")
+    eps_flag, eps_text = (("--grid-epsilon", args.grid_epsilon) if args.grid_epsilon
+                          else ("--epsilon", repr(args.epsilon)))
+    eps_grid = _grid(eps_flag, eps_text, float, lambda x: 0.0 < x < math.inf,
+                     "positive finite numbers")
+    k_flag, k_text = ("--grid-k", args.grid_k) if args.grid_k else ("--k", str(args.k))
+    k_grid = _grid(k_flag, k_text, int, lambda x: x >= 1, "integers >= 1")
+    seeds = _grid("--seeds", args.seeds, int, lambda x: x >= 0, "nonnegative integers")
     if args.grid_k and args.instance:
         raise ValueError("cannot sweep k over a fixed instance file")
     tasks = []

@@ -1,7 +1,7 @@
-"""The CI workflow prints the Python and numpy versions and numpy's BLAS,
-runs a short benchmark correctness check on every workload, untraced and
-traced, then the tier-1 command that ROADMAP.md names, then logs the line
-count of src/ that ROADMAP.md tracks."""
+"""The CI workflow times out after 30 minutes.  It prints the Python and
+numpy versions and numpy's BLAS, runs a short benchmark correctness check on
+every workload, untraced and traced, then the tier-1 command that ROADMAP.md
+names, then logs the line count of src/ that ROADMAP.md tracks."""
 
 import json
 import re
@@ -17,6 +17,7 @@ def test_workflow_runs_the_tier1_command():
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
     job = workflow["jobs"]["tests"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert job["timeout-minutes"] == 30
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert any(".[test]" in run for run in runs)
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",

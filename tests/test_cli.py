@@ -471,6 +471,30 @@ class TestSweep:
         assert any(row["error"] for row in rows)          # k=1 is invalid
         assert any(not row["error"] for row in rows)      # k=2 succeeded
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--epsilon", "inf"), "--epsilon expects positive finite numbers, got 'inf'"),
+        (("--grid-epsilon", "0.3,inf"),
+         "--grid-epsilon expects positive finite numbers, got 'inf'"),
+        (("--grid-epsilon", "nan"), "--grid-epsilon expects positive finite numbers, got 'nan'"),
+        (("--grid-epsilon", "0.3,-0.1"),
+         "--grid-epsilon expects positive finite numbers, got '-0.1'"),
+        (("--epsilon", "-0.1"), "--epsilon expects positive finite numbers, got '-0.1'"),
+        (("--grid-k", "2,-3"), "--grid-k expects integers >= 1, got '-3'"),
+        (("--seeds", "1,,2"), "--seeds expects nonnegative integers, got ''"),
+    ])
+    def test_bad_grid_items_rejected_before_any_cell(self, flags, message, tmp_path,
+                                                     monkeypatch, capsys):
+        def never(task):
+            raise AssertionError("a cell ran before the grids were checked")
+
+        monkeypatch.setattr(cli, "_solve_task", never)
+        out = tmp_path / "bad.csv"
+        code = run_cli("sweep", "--algo", "fast", "--family", "random", "--n", "6",
+                       *flags, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_header_column_order_fixed(self, tmp_path):
         out = tmp_path / "h.csv"
         run_cli("sweep", "--algo", "finite", "--family", "random",

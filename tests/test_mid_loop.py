@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 
 from helpers import small_instances, suite_instance
 from multidist import algos
-from multidist.algos import run_mid, run_personalized
+from multidist.algos import run_finite, run_mid, run_personalized
 from multidist.evaluate import InstanceSpec, generate
 from multidist.model import (
     FiniteDistribution,
     HypothesisClass,
     RandomizedHypothesis,
+    SampleLedger,
     _prediction_at,
     derive_seed,
 )
 import multidist.online
 import reference_mid
 from multidist.online import _check_simplex
+from reference_finite import reference_finite_loop
 from reference_mid import reference_run_mid
 
 SUITE = range(40)
@@ -296,6 +298,109 @@ class TestCheckStacks:
         else:
             assert 0 < at % 4 < 3 and ours[2] > at + 1
 
+
+class _SummingExp3(algos._Exp3):
+    """Exp3 that also adds up, with a per-round `+=`, every learner it is
+    handed: the learners the rounds start from."""
+
+    def __init__(self, k: int, width: int):
+        super().__init__(k, 0.05, 0.2)
+        self.total = np.zeros(width)
+
+    def feedback(self, learner, costs, i, query):
+        self.total += learner
+        return super().feedback(learner, costs, i, query)
+
+
+class TestStackedMean:
+    """The loop adds the learner's rounds up once per check stack, with an
+    axis-0 sum; each column must come out with the bits of the per-round
+    sum, whatever the class width (at width 1 numpy may sum the column
+    pairwise) and wherever the run ends in a stack."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 127, 128, 129])
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 24, 1024])
+    def test_mean_has_the_bits_of_the_per_round_sum(self, width, rows, monkeypatch):
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(algos, "_CHECK_ROWS", rows)
+        monkeypatch.setattr(algos, "_CHECK_ENTRIES", rows * width)
+        inst = generate(InstanceSpec("random", n=6, k=3, class_size=8,
+                                     seed=derive_seed(8115, width)))
+        rng = np.random.default_rng(derive_seed(8116, width, rows))
+        matrix = rng.integers(0, 2, size=(width, 6)).astype(np.uint8)
+        # full stacks only, a last stack cut short, a first stack cut short
+        for T in (3 * rows, 3 * rows - 1, rows // 2 + 1):
+            adversary = _SummingExp3(inst.k, width)
+            mean = algos._hedge_loop(inst, matrix, T, 0.3, adversary, rng,
+                                     SampleLedger(inst.k), False, [])
+            want = adversary.total / T
+            assert np.array_equal(mean.view(np.uint64), want.view(np.uint64)), T
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("class_size", [1, 2])
+    def test_one_and_two_row_classes_match_their_references(self, class_size, rows,
+                                                            monkeypatch):
+        monkeypatch.setattr(algos, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(algos, "_CHECK_ROWS", rows)
+        for s in range(3):
+            inst = generate(InstanceSpec("random", n=6, k=3, class_size=class_size,
+                                         seed=derive_seed(8117, class_size, s)))
+            seed = derive_seed(8118, class_size, s)
+            for estimator in algos.ESTIMATORS:
+                ours = run_mid(inst, 0.3, 0.2, seed, estimator=estimator)
+                assert ours.config["cover_behaviors"] == class_size
+                ref = reference_run_mid(inst, 0.3, 0.2, seed, estimator=estimator)
+                assert _same(ours, ref), f"mid, seed {s}, {estimator}"
+            ours = run_finite(inst, 0.3, 0.2, seed)
+            with monkeypatch.context() as m:
+                m.setattr(algos, "_finite_loop", reference_finite_loop)
+                assert _same(ours, run_finite(inst, 0.3, 0.2, seed)), f"finite, seed {s}"
+
+
+def _bound_checked(monkeypatch) -> Counter:
+    """Check, every mid round, that the adversary's bound on the learner's
+    smallest weight holds whenever it is above ``_POSITIVE``; count the
+    rounds that scored the learner with its total and those that masked."""
+    paths: Counter = Counter()
+    feedback, prediction = algos._CappedHedge.feedback, algos._prediction_at
+
+    def checked(self, learner, *args):
+        if self.low > algos._POSITIVE:
+            assert float(np.minimum.reduce(learner)) >= self.low
+        return feedback(self, learner, *args)
+
+    def counted(weights, column, total=None):
+        paths["masked" if total is None else "total"] += 1
+        return prediction(weights, column, total)
+
+    monkeypatch.setattr(algos._CappedHedge, "feedback", checked)
+    monkeypatch.setattr(algos, "_prediction_at", counted)
+    return paths
+
+
+class TestLearnerBound:
+    def test_the_bound_holds_on_suite(self, monkeypatch):
+        paths = _bound_checked(monkeypatch)
+        for s in SUITE:
+            inst, seed = suite_instance(s), derive_seed(8119, s)
+            assert _same(run_mid(inst, 0.45, 0.3, seed),
+                         reference_run_mid(inst, 0.45, 0.3, seed)), f"suite member {s}"
+        assert paths["total"] > 0 and paths["masked"] == 0
+
+    @pytest.mark.parametrize("estimator", algos.ESTIMATORS)
+    def test_an_underflowed_learner_matches_the_reference(self, estimator, monkeypatch):
+        # At rate 1 a weight's factor is e^-1 < 1/2, which rounds the
+        # smallest subnormal down to 0.0 (at the clamped 0.5 it rounds back
+        # up); the run has 2,327 rounds, and its learner loses a weight to
+        # underflow well before the end
+        monkeypatch.setattr(algos, "_RATE_FLOOR", 1.0)
+        monkeypatch.setattr(algos, "_RATE_CEIL", 1.0)
+        paths = _bound_checked(monkeypatch)
+        inst, seed = suite_instance(2), derive_seed(8120, 2)
+        ours = run_mid(inst, 0.2, 0.3, seed, estimator=estimator)
+        assert ours.config["eta_learner"] == 1.0
+        assert _same(ours, reference_run_mid(inst, 0.2, 0.3, seed, estimator=estimator))
+        assert paths["total"] > 0 and paths["masked"] > 0
 
 def _raises(w: np.ndarray, cap: float | None) -> bool:
     try:
