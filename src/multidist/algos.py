@@ -35,15 +35,19 @@ once per stack in row order.  It takes its randomness in blocks of
 (``rng.random((count, width))``, so a block boundary does not move the
 stream): each round's mixture oracle and atom, then the adversary's own
 query, if it has one; and it ledgers each block's per-oracle counts at
-once.  The mid adversary knows its learner's weights are positive from a
-lower bound it carries from round to round, and takes their minimum only
-once that bound nears underflow.  All of these give the bits the public
-steps give, but one: the mixture is drawn from the capped adversary's
-weights as they are, not divided by their total first, which can move a
-draw only at a uniform within an ulp or so of a CDF edge.  The fast loop
-keeps its public steps, since its cost is the ERM scan.  The object-level
-loops these replaced are kept in ``tests/reference_mid.py`` and
-``tests/reference_finite.py``, and the tests require identical reports.
+once.  The mid adversary scores the learner at its point with one dot
+product of the learner's weights and the labels there.  All of these give
+the bits the public steps give, but two.  That estimate's last bits can
+differ from those of ``mid_adversary_estimate`` on a
+``RandomizedHypothesis``, which renormalizes the weights and adds them up in
+sequence, so the capped adversary's weights can differ in their last bits
+too.  And the mixture is drawn from the capped adversary's weights as they
+are, not divided by their total first.  The learner sees the adversary only
+through its draws, and either difference can move a draw only at a uniform
+within an ulp or so of a CDF edge.  The fast loop keeps its public steps,
+since its cost is the ERM scan.  The object-level loops these replaced are
+kept in ``tests/reference_mid.py`` and ``tests/reference_finite.py``, and
+the tests require identical reports.
 """
 
 from __future__ import annotations
@@ -75,7 +79,6 @@ from multidist.model import (
     _draws,
     _label_loss,
     _mixture_index,
-    _prediction_at,
     derive_seed,
     make_rng,
     mixture_sample_many,
@@ -109,12 +112,6 @@ _RATE_CEIL = 0.5
 # _CHECK_ENTRIES learner weights (256 KB): 32 rounds at |H| = 1024.
 _PAIR_BLOCK = 4096
 _CHECK_ROWS, _CHECK_ENTRIES = 128, 32_768
-
-# A relative error far above that of one Hedge round's multiply, pairwise sum
-# and divide, and a floor on the mid learner's weight bound more than 10^17
-# above the smallest normal double (see _CappedHedge).
-_ROUNDING = 2.0 ** -40
-_POSITIVE = 1e-290
 
 # A schedule of more queries (about 130 times the T of that k = 64 run) would
 # run for days or exhaust memory, so a run checks its budget before drawing.
@@ -540,25 +537,22 @@ class _CappedHedge:
     class matrix.  It is one-hot, so the Hedge step scales the chosen weight
     alone before the capped projection.
 
-    Scoring the learner needs to know whether some learner weight has
-    underflowed to 0.0.  A round scales each weight by at least
-    e^-eta_learner and divides by a total of at most 1, up to rounding, so
-    ``low`` is a lower bound on the smallest weight: 1 / |sub| at the start,
-    times ``decay`` a round.  While it stays above ``_POSITIVE`` no weight
-    can be zero; below it, a round takes the exact minimum, and starts the
-    bound again from there.
+    The learner's probability of label 1 at the drawn point is one dot
+    product of the learner, as the loop holds it, with that row; a zero
+    weight adds nothing to it.  Its last bits can differ from those
+    :func:`mid_adversary_estimate` gives on a :class:`RandomizedHypothesis`
+    of the same weights, which renormalizes them and adds the terms up in
+    sequence.
     """
 
     width, trace_key = 4, "estimate"
 
     def __init__(self, k: int, matrix: np.ndarray, eta: float, cap: float,
-                 estimator: str, eta_learner: float):
+                 estimator: str):
         _check_eta(eta)
         self.w = SimplexWeights.uniform(k, cap=cap).w
         self.k, self.eta, self.cap, self.estimator = k, eta, cap, estimator
         self.labels_at = np.ascontiguousarray(matrix.T, dtype=np.float64)
-        self.low = 1.0 / len(matrix)
-        self.decay = math.exp(-eta_learner) * (1.0 - _ROUNDING)
 
     def queries(self, instance: MdlInstance, u: np.ndarray, ledger: SampleLedger):
         chosen = (u[:, 2] * self.k).astype(np.int64)
@@ -568,13 +562,7 @@ class _CappedHedge:
     def feedback(self, learner: np.ndarray, costs: np.ndarray, i: int,
                  query: tuple[int, int, int]) -> tuple[int, float]:
         chosen, x, y = query
-        # with every weight positive, the mask would keep them all, so the
-        # learner's total is the normalizer
-        if not self.low > _POSITIVE:
-            self.low = float(np.minimum.reduce(learner))
-        total = float(np.add.reduce(learner)) if self.low > 0 else None
-        self.low *= self.decay
-        p1 = _prediction_at(learner, self.labels_at[x], total)
+        p1 = float(learner @ self.labels_at[x])
         weight = float(self.w[chosen]) if self.estimator == "literal" else 1.0
         value = _estimate_value(_label_loss(p1, y), self.k, weight, self.estimator)
         if not -SUM_TOL <= value <= self.k + SUM_TOL:
@@ -617,8 +605,7 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     matrix = sub.matrix
     eta_learner = _clamp_rate(math.sqrt(math.log(max(len(sub), 2)) / sched["T"]))
 
-    adversary = _CappedHedge(k, matrix, sched["eta_adversary"], sched["cap"], estimator,
-                             eta_learner)
+    adversary = _CappedHedge(k, matrix, sched["eta_adversary"], sched["cap"], estimator)
     trace: list[dict] = []
     mean_weights = _hedge_loop(instance, matrix, sched["T"], eta_learner, adversary,
                                rng, ledger, record_trace, trace)

@@ -17,9 +17,10 @@ once.  The scalar oracles hand it one-element arrays, after
 (``rng.random(m)`` gives the doubles of m scalar ``rng.random()`` calls), so
 a loop may draw its uniforms in blocks.  The dynamics loop calls
 ``_mixture_index`` every round, looks atoms up with ``atom_index`` directly
-and ledgers a block of rounds' draws at once.  ``_mixture_index`` repeats
-the arithmetic of ``rng.choice(k, p=p)``, so a loop that uses it draws the
-same oracles from the same generator state.
+and ledgers a block of rounds' draws at once.  ``_mixture_index`` bisects
+the mixture's CDF, computing at each probe the quotient that
+``rng.choice(k, p=p)`` computes for every entry, so a loop that uses it
+draws the same oracles from the same generator state.
 Every atom, scalar or batched, is looked up by one inverse-CDF method,
 ``FiniteDistribution.atom_index``: a float by ``bisect_right`` on a list
 copy of the CDF, an array by ``searchsorted``.
@@ -326,25 +327,6 @@ class HypothesisClass:
         raise ValueError(f"unknown family {family!r}")
 
 
-def _prediction_at(weights: np.ndarray, column: np.ndarray,
-                   total: float | None = None) -> float:
-    """Probability of label 1 at one point under the mixture with these
-    weights over hypotheses whose labels there are `column`.
-
-    Bit-identical to ``RandomizedHypothesis(labels, weights)
-    .prediction_mean()[point]``: the positive weights are normalized by their
-    own sum, then added up in hypothesis order (a sequential sum, unlike the
-    pairwise one a dot product would take).  A caller whose weights are all
-    positive may pass their sum as `total`: the positive weights are then the
-    whole vector, so the masking is skipped and the sum is the same.
-    """
-    if total is None:
-        pos = weights > 0
-        weights, column = weights[pos], column[pos]
-        total = weights.sum()
-    return float(np.add.accumulate((weights / total) * column)[-1])
-
-
 class RandomizedHypothesis(_Scored):
     """Convex mixture of hypotheses; losses are exact expectations.
 
@@ -496,14 +478,18 @@ def _mixture_index(p: np.ndarray, u: float) -> int:
     """Index drawn at the uniform u with probabilities p (nonnegative,
     normalized, unchecked).
 
-    With ``u = rng.random()`` this is the arithmetic of
-    ``rng.choice(len(p), p=p)``, so it returns the same index and leaves the
-    generator in the same state, without the validation ``choice`` repeats
-    on every call.
+    With ``u = rng.random()`` this is the index ``rng.choice(len(p), p=p)``
+    draws, without the validation ``choice`` repeats on every call, and it
+    leaves the generator in the same state.  ``choice`` divides the whole
+    CDF by its last entry and takes ``searchsorted(u, side="right")``; here
+    a bisection computes the same IEEE quotient at each of its O(log k)
+    probes only.  Since u < 1 = cdf[-1] / cdf[-1], the last entry is never
+    passed over, so it is not probed, and a NaN weight still gives an index
+    below len(p).
     """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(u, side="right"))
+    cdf = np.add.accumulate(p)
+    last = float(cdf[-1])
+    return bisect_right(cdf, u, hi=len(p) - 1, key=lambda c: float(c) / last)
 
 
 def _draws(instance: MdlInstance, oracles: np.ndarray, u: np.ndarray,

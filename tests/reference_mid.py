@@ -1,13 +1,15 @@
 """Object-level reference for the mid dynamics, kept for differential tests.
 
 This is the mid loop as it ran before the loop moved onto plain arrays: it
-rebuilds a :class:`RandomizedHypothesis` every round to score the learner on
-the adversary's point, and validates each step through the public
-``SimplexWeights``/``CostVector`` wrappers.  Each round takes four scalar
-``rng.random()`` doubles: the mixture's oracle and atom, then the estimate's
-uniform oracle ``int(u * k)`` and its atom.  ``algos.run_mid`` draws the
-same doubles in blocks, and must produce the same report, bit for bit, for
-every seed.
+validates each step through the public ``SimplexWeights``/``CostVector``
+wrappers.  It scores the learner on the adversary's point as the loop does,
+with one dot product of the learner's weights and the float64 column of the
+label matrix at that point, not through a :class:`RandomizedHypothesis`,
+whose renormalized sequential sum can differ in its last bits.  Each round
+takes four scalar ``rng.random()`` doubles: the mixture's oracle and atom,
+then the estimate's uniform oracle ``int(u * k)`` and its atom.
+``algos.run_mid`` draws the same doubles in blocks, and must produce the
+same report, bit for bit, for every seed.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from multidist.algos import (
     ESTIMATORS,
     RunReport,
     _clamp_rate,
+    _estimate_value,
     _mid_schedule,
     _resolve_vc,
-    mid_adversary_estimate,
     resolve_constants,
 )
 from multidist.cover import projection_cover
@@ -30,12 +32,13 @@ from multidist.model import (
     MdlInstance,
     RandomizedHypothesis,
     SampleLedger,
+    _label_loss,
     make_rng,
     mixture_sample,
     mixture_sample_many,
     oracle_sample,
 )
-from multidist.online import SimplexWeights, hedge_step_cost
+from multidist.online import CostVector, SimplexWeights, hedge_step_cost
 
 
 def reference_run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
@@ -71,8 +74,10 @@ def reference_run_mid(instance: MdlInstance, epsilon: float, delta: float, seed:
         learner_costs = (matrix[:, z.point] != z.label).astype(np.float64)
         chosen = int(rng.random() * k)
         z2 = oracle_sample(instance, chosen, rng, ledger)
-        iterate = RandomizedHypothesis.from_weights(sub.hypotheses, learner.w)
-        estimate = mid_adversary_estimate(adversary, chosen, z2, iterate, estimator)
+        p1 = float(learner.w @ matrix[:, z2.point].astype(np.float64))
+        value = _estimate_value(_label_loss(p1, z2.label), k,
+                                float(adversary.w[chosen]), estimator)
+        estimate = CostVector.one_hot(k, chosen, value, bound=float(k))
         if record_trace:
             trace.append({"t": t, "adversary": adversary.w.tolist(),
                           "learner_id": int(np.argmax(learner.w)),

@@ -1,7 +1,8 @@
 """The CI workflow times out after 30 minutes.  It prints the Python and
 numpy versions and numpy's BLAS, runs a short benchmark correctness check on
 every workload, untraced and traced, then the tier-1 command that ROADMAP.md
-names, then logs the line count of src/ that ROADMAP.md tracks."""
+names, then logs the line count of src/ that ROADMAP.md tracks.  Its matrix
+starts at the oldest Python that pyproject.toml declares."""
 
 import json
 import re
@@ -57,3 +58,15 @@ def test_workflow_prints_the_versions_before_the_benchmark_smoke():
                 if "sys.version" in run and "numpy.__version__" in run
                 and 'numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]' in run]
     assert len(versions) == 1 and install < versions[0] < smoke
+
+
+def test_workflow_tests_the_oldest_declared_python():
+    # the package uses 3.10 features (bisect_right's key=, say), and a matrix
+    # that starts above the declared floor would not catch code that needs a
+    # later Python; tomllib is 3.11+, so the floor is read with a regex
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
+    versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]
+    floor = re.search(r'^requires-python\s*=\s*">=\s*([0-9.]+)"\s*$',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE).group(1)
+    assert min(versions, key=lambda v: tuple(map(int, v.split(".")))) == floor

@@ -20,6 +20,7 @@ from multidist.model import (
     RandomizedHypothesis,
     SampleLedger,
     brute_force_vc,
+    derive_seed,
     exact_loss,
     make_rng,
     mixture_sample,
@@ -272,6 +273,43 @@ class TestMixtureSample:
         with pytest.raises(ValueError, match="mixture weights"):
             mixture_sample(inst, weights, make_rng(0), ledger)
         assert ledger.total == 0
+
+
+class _FixedUniform(np.random.Generator):
+    """A generator whose every uniform is `u`.  ``choice`` draws through
+    ``random``, so this hands it any double in [0, 1), not only the
+    multiples of 2^-53 a bit generator yields."""
+
+    u = 0.0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+class TestMixtureIndexEdges:
+    """``_mixture_index`` bisects the CDF and divides only the entries it
+    probes; it must pick the index of the CDF divided in place, and of
+    ``rng.choice``, at every edge of that CDF and one ulp below it."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 1024])
+    def test_matches_the_divided_cdf_and_choice(self, k):
+        draw = make_rng(derive_seed(8125, k))
+        choice = _FixedUniform(np.random.PCG64(0))
+        for trial in range(12):
+            p = draw.random(k)
+            if trial % 2:  # zero-weight plateaus, first and last entries too
+                p[draw.random(k) < 0.5] = 0.0
+                p[draw.integers(k)] += 0.5
+            p /= p.sum()
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            edges = cdf[cdf < 1.0]
+            us = np.concatenate([[0.0, 1.0 - 2.0 ** -53], edges, np.nextafter(edges, 0.0)])
+            for u in us[us >= 0.0].tolist():
+                choice.u = u
+                want = int(cdf.searchsorted(u, side="right"))
+                assert model._mixture_index(p, u) == want == int(choice.choice(k, p=p))
+                assert p[want] > 0.0
 
 
 def _shatters(matrix: np.ndarray, subset: tuple[int, ...]) -> bool:
