@@ -61,6 +61,7 @@ import numpy as np
 
 from multidist.cover import (
     SampleBatch,
+    _check_epsilon_delta,
     ceil_budget,
     cover_sample_size,
     empirical_loss,
@@ -430,8 +431,7 @@ def run_finite(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     banks the learner mixture's loss on it as payoff.  Total queries = T.
     """
     cons = resolve_constants(constants)
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ValueError("epsilon and delta must be in (0, 1)")
+    _check_epsilon_delta(epsilon, delta)
     rng = make_rng(seed)
     ledger = SampleLedger(instance.k)
     trace: list[dict] = []
@@ -449,8 +449,7 @@ def run_cover_then_finite(instance: MdlInstance, epsilon: float, delta: float,
                           record_trace: bool = True) -> RunReport:
     """Offline projection cover per oracle, then the finite dynamics on it."""
     cons = resolve_constants(constants)
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ValueError("epsilon and delta must be in (0, 1)")
+    _check_epsilon_delta(epsilon, delta)
     k = instance.k
     d = _resolve_vc(instance, vc_dim)
     per_oracle = max(1, ceil_budget(cons["C"] * d / epsilon, "C"))
@@ -502,8 +501,9 @@ def mid_adversary_estimate(weights: SimplexWeights | Sequence[float], chosen: in
         raise IndexError(f"chosen index {chosen} out of range")
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    value = _estimate_value(h.expected_loss(z), k, float(w[chosen]), estimator)
-    return CostVector.one_hot(k, chosen, value, bound=float(k))
+    values = np.zeros(k)
+    values[chosen] = _estimate_value(h.expected_loss(z), k, float(w[chosen]), estimator)
+    return CostVector(values, bound=float(k))
 
 
 def _mid_schedule(epsilon: float, delta: float, k: int, d: int,
@@ -587,8 +587,7 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     uniform-index estimate.  Total queries are exactly N + 2T.
     """
     cons = resolve_constants(constants)
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ValueError("epsilon and delta must be in (0, 1)")
+    _check_epsilon_delta(epsilon, delta)
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     k = instance.k
@@ -654,8 +653,7 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
     The failure budget delta is split across the ceil(log2 k) rounds.
     """
     cons = resolve_constants(constants)
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ValueError("epsilon and delta must be in (0, 1)")
+    _check_epsilon_delta(epsilon, delta)
     k = instance.k
     d = _resolve_vc(instance, vc_dim)
     rounds = max(1, math.ceil(math.log2(k)))

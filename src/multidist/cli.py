@@ -262,12 +262,18 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="include wall-clock fields (breaks byte-determinism)")
 
 
-def _base_task(args, algo: str | None = None) -> dict:
+def _check_seed(flag: str, seed: int | None) -> None:
+    """Name a negative seed and its flag up front; numpy's error names neither."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"{flag} expects a nonnegative integer, got {seed}")
+
+
+def _base_task(args) -> dict:
     # the evaluation's slack for every algorithm; fast also bounds it itself
     if not 0.0 <= args.alpha < math.inf:
         raise ValueError(f"--alpha must be nonnegative and finite, got {args.alpha!r}")
     return {
-        "algo": algo or args.algo,
+        "algo": args.algo,
         "instance_path": getattr(args, "instance", None),
         "family": args.family, "n": args.n, "k": args.k,
         "class_size": args.class_size, "class_family": args.class_family,
@@ -279,6 +285,7 @@ def _base_task(args, algo: str | None = None) -> dict:
 
 
 def cmd_gen(args) -> int:
+    _check_seed("--seed", args.seed)
     spec = InstanceSpec(family=args.family, n=args.n, k=args.k,
                         class_size=args.class_size, seed=args.seed,
                         class_family=args.class_family)
@@ -297,6 +304,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_seed("--seed", args.seed)
+    _check_seed("--instance-seed", args.instance_seed)
     task = _base_task(args)
     task.update(run_seed=args.seed, row_seed=args.seed,
                 instance_seed=args.instance_seed if args.instance_seed is not None
@@ -363,6 +372,7 @@ def cmd_sweep(args) -> int:
 def cmd_audit(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be ≥ 1")
+    _check_seed("--seed", args.seed)
     tasks = []
     for trial in range(args.trials):
         task = _base_task(args)

@@ -103,11 +103,16 @@ def ceil_budget(value: float, constant: str) -> int:
     return math.ceil(value)
 
 
+def _check_epsilon_delta(epsilon: float, delta: float) -> None:
+    """Raise unless both lie in (0, 1); written so that a NaN fails it."""
+    if not 0 < epsilon < 1 or not 0 < delta < 1:
+        raise ValueError("epsilon and delta must be in (0, 1)")
+
+
 def cover_sample_size(d: int, epsilon: float, delta: float, C: float = 4.0) -> int:
     """Number of witness draws needed for an epsilon-net by projection."""
     if d < 1:
         raise ValueError("d must be ≥ 1")
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ValueError("epsilon and delta must be in (0, 1)")
+    _check_epsilon_delta(epsilon, delta)
     return ceil_budget(C * (d * math.log(d / epsilon) + math.log(1.0 / delta)) / epsilon,
                        "C")

@@ -9,11 +9,12 @@ Every class is built from one 0/1 matrix; ``first_distinct_rows`` is the
 one row dedupe, for classes and for ``cover.projection_cover`` alike.  It
 packs each row into bytes and sorts one opaque key per row.
 
-The public oracles validate their arguments and then draw through one
-private path, ``_draws``: it looks up a batch of atoms from given oracles at
-given uniforms, one lookup per oracle, and ledgers each oracle's count at
-once.  The scalar oracles hand it one-element arrays, after
-``_mixture_index`` for the mixture.  Every draw is one double of the stream
+The public oracles validate their arguments.  All but ``oracle_sample_many``
+then draw through one private path, ``_draws``: it looks up a batch of atoms
+from given oracles at given uniforms, one lookup per oracle, and ledgers each
+oracle's count at once.  The scalar oracles hand it one-element arrays, after
+``_mixture_index`` for the mixture; ``oracle_sample_many``, one oracle's batch,
+takes ``draw_indices``.  Every draw is one double of the stream
 (``rng.random(m)`` gives the doubles of m scalar ``rng.random()`` calls), so
 a loop may draw its uniforms in blocks.  The dynamics loop calls
 ``_mixture_index`` every round, looks atoms up with ``atom_index`` directly
@@ -101,10 +102,15 @@ def derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _normalized(probs: np.ndarray, what: str) -> np.ndarray:
-    # both tests are written so that a NaN fails them
+def _check_nonnegative(probs: np.ndarray, what: str) -> None:
+    # written so that a NaN fails it
     if not probs.min() >= 0:
         raise ValueError(f"{what}: negative or NaN probability")
+
+
+def _normalized(probs: np.ndarray, what: str) -> np.ndarray:
+    _check_nonnegative(probs, what)
+    # written so that a NaN sum fails it
     total = float(probs.sum())
     if not abs(total - 1.0) <= RENORM_TOL:
         raise ValueError(f"{what}: probabilities sum to {total!r}, not 1")
@@ -333,6 +339,7 @@ class RandomizedHypothesis(_Scored):
     Built from weights over the rows of a label matrix (a class matrix, say),
     with ids `ids` or else the row indices, it keeps three arrays over the
     rows of positive weight: label rows, ids and weights normalized by their sum.
+    Every weight, kept or not, must be nonnegative (NaN fails).
     """
 
     __slots__ = ("labels", "ids", "weights", "_pred_mean")
@@ -345,6 +352,7 @@ class RandomizedHypothesis(_Scored):
         keep = np.flatnonzero(w > 0.0)
         if len(keep) == 0:
             raise ValueError("mixture needs at least one atom")
+        _check_nonnegative(w, "RandomizedHypothesis")
         self.weights = _normalized(w[keep], "RandomizedHypothesis")
         self.labels = labels[keep]
         self.ids = keep if ids is None else np.asarray(ids)[keep]

@@ -11,12 +11,10 @@ capped comparators.
 The unchecked private steps (``_check_simplex``, ``_project_capped``,
 ``_exp3_step``) are what the dynamics loops in ``algos`` call every round;
 the loops do the plain Hedge multiply themselves, on cached factor rows.
-``_check_simplex`` returns the minimum and the total it computes, so a caller
-can reuse them instead of summing again; the loops check their weights with
-``_check_simplex_rows``, which applies its predicates, cap included, to
-stacks of rows at once and hands the first failing row to
-``_check_simplex`` for its error.  ``_project_capped`` returns the
-normalized vector at once when its maximum is within the cap; otherwise
+The loops check their weights with ``_check_simplex_rows``, which applies
+its predicates, cap included, to stacks of rows at once and hands the first
+failing row to ``_check_simplex`` for its error.  ``_project_capped`` returns
+the normalized vector at once when its maximum is within the cap; otherwise
 each clamping pass works on the index array of the coordinates still free
 (the masked pass it replaced is kept in ``tests/reference_projection.py``).
 """
@@ -32,22 +30,16 @@ import numpy as np
 from multidist.model import SUM_TOL
 
 
-def _check_simplex(w: np.ndarray, cap: float | None) -> tuple[float, float]:
-    """Raise unless w is nonnegative, sums to 1 and stays at or below cap.
-
-    Returns the minimum and the total it computed (``np.add.reduce``, the
-    same bits as ``w.sum()``), for a caller to reuse.  The sum test is
-    written so that a NaN sum fails it.
-    """
-    low = float(np.minimum.reduce(w))
-    if low < 0:
+def _check_simplex(w: np.ndarray, cap: float | None) -> None:
+    """Raise unless w is nonnegative, sums to 1 and stays at or below cap;
+    the sum test is written so that a NaN sum fails it."""
+    if float(np.minimum.reduce(w)) < 0:
         raise ValueError("weights must be nonnegative")
     total = float(np.add.reduce(w))
     if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
     if cap is not None and float(np.maximum.reduce(w)) > cap + SUM_TOL:
         raise ValueError("weight exceeds declared cap")
-    return low, total
 
 
 def _check_simplex_rows(*stacks: np.ndarray, cap: float | None = None) -> None:
@@ -115,20 +107,6 @@ class CostVector:
         # written so that a NaN entry fails it
         if v.size and not (v.min() >= -SUM_TOL and v.max() <= self.bound + SUM_TOL):
             raise ValueError(f"cost entries outside [0, {self.bound}]")
-
-    @classmethod
-    def one_hot(cls, d: int, index: int, value: float, bound: float) -> "CostVector":
-        """Zero costs except `value` at `index`.  Only that one value can
-        leave [0, bound], so it is checked as a scalar (NaN fails) and the
-        vector check is skipped."""
-        if not -SUM_TOL <= value <= bound + SUM_TOL:
-            raise ValueError(f"cost entries outside [0, {bound}]")
-        values = np.zeros(d)
-        values[index] = value
-        out = object.__new__(cls)
-        object.__setattr__(out, "values", values)
-        object.__setattr__(out, "bound", bound)
-        return out
 
 
 def _cost_values(costs: CostVector | Sequence[float], d: int) -> np.ndarray:
@@ -215,8 +193,7 @@ def hedge_step_payoff(w: SimplexWeights, payoffs: CostVector | Sequence[float],
 
 
 def _check_exp3_rates(eta: float, exploration: float) -> None:
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_eta(eta)
     if not 0.0 <= exploration <= 1.0:
         raise ValueError("exploration must be in [0, 1]")
 

@@ -77,7 +77,9 @@ def reference_run_mid(instance: MdlInstance, epsilon: float, delta: float, seed:
         p1 = float(learner.w @ matrix[:, z2.point].astype(np.float64))
         value = _estimate_value(_label_loss(p1, z2.label), k,
                                 float(adversary.w[chosen]), estimator)
-        estimate = CostVector.one_hot(k, chosen, value, bound=float(k))
+        values = np.zeros(k)
+        values[chosen] = value
+        estimate = CostVector(values, bound=float(k))
         if record_trace:
             trace.append({"t": t, "adversary": adversary.w.tolist(),
                           "learner_id": int(np.argmax(learner.w)),

@@ -2,10 +2,13 @@
 numpy versions and numpy's BLAS, runs a short benchmark correctness check on
 every workload, untraced and traced, then the tier-1 command that ROADMAP.md
 names, then logs the line count of src/ that ROADMAP.md tracks.  Its matrix
-starts at the oldest Python that pyproject.toml declares."""
+starts at the oldest Python that pyproject.toml declares, and the package
+imports nothing beyond the dependencies pyproject.toml declares."""
 
+import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,26 @@ def test_workflow_tests_the_oldest_declared_python():
     floor = re.search(r'^requires-python\s*=\s*">=\s*([0-9.]+)"\s*$',
                       (ROOT / "pyproject.toml").read_text(), re.MULTILINE).group(1)
     assert min(versions, key=lambda v: tuple(map(int, v.split(".")))) == floor
+
+
+def test_src_imports_only_declared_dependencies():
+    # scipy is often installed next to numpy: an unguarded import of it would
+    # pass here and fail for a user who installed what pyproject.toml declares
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    declared = re.search(r"^dependencies = \[(.*)\]$", pyproject, re.M).group(1)
+    names = {re.match(r'\s*"([A-Za-z0-9_.-]+)', item).group(1)
+             for item in declared.split(",")}
+    assert names == {"numpy"}
+    allowed = set(sys.stdlib_module_names) | names | {"multidist"}
+    imported = set()
+    for path in sorted((ROOT / "src/multidist").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["multidist" if node.level else node.module]
+            else:
+                continue
+            imported |= {(m.split(".")[0], f"{path.name}:{node.lineno}") for m in modules}
+    assert sorted(i for i in imported if i[0] not in allowed) == []
+    assert {"numpy", "multidist"} <= {m for m, _ in imported}

@@ -367,6 +367,72 @@ def test_bad_alpha_rejected_before_any_cell(command, algo, alpha, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("gen", ("--seed", "-1"), "--seed expects a nonnegative integer, got -1"),
+    ("solve", ("--algo", "fast", "--seed", "-1"),
+     "--seed expects a nonnegative integer, got -1"),
+    ("solve", ("--algo", "fast", "--instance", "inst.json", "--seed", "-1"),
+     "--seed expects a nonnegative integer, got -1"),
+    ("solve", ("--algo", "fast", "--instance-seed", "-2"),
+     "--instance-seed expects a nonnegative integer, got -2"),
+    ("audit", ("--algo", "finite", "--seed", "-1"),
+     "--seed expects a nonnegative integer, got -1"),
+])
+def test_negative_seed_named_before_any_work(command, flags, message, tmp_path,
+                                             monkeypatch, capsys):
+    # numpy's own error named neither the flag nor the value, and `solve`
+    # raised it only after loading the instance and computing its VC
+    def never(*args, **kwargs):
+        pytest.fail("work began before the seed was checked")
+
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", "--family", "random", "--n", "6", "--k", "3",
+                   "--out", "inst.json") == 0
+    capsys.readouterr()
+    for name in ("generate_with_opt", "_run_cell", "vc_dimension"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(MdlInstance, "load", never)
+    out = tmp_path / "out"
+    assert run_cli(command, *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+def _report_text(instance, report, epsilon, alpha) -> str:
+    """The JSON `solve --no-trace` writes for `report`, a run on `instance`."""
+    payload = report.to_dict(include_trace=False)
+    payload["evaluation"] = evaluate_run(instance, report, epsilon, alpha,
+                                         brute_force_opt(instance))
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestSolveMatchesInProcessRuns:
+    def test_instance_seed_seeds_the_instance_and_seed_the_run(self, tmp_path):
+        # the ROADMAP baseline cell: instance seed 1, run seed 3
+        out = tmp_path / "r.json"
+        assert run_cli("solve", "--algo", "fast", "--instance-seed", "1", "--seed", "3",
+                       "--no-trace", "--out", str(out)) == 0
+        instance = generate(InstanceSpec("random", 8, 4, 16, 1))
+        assert instance.to_dict() != generate(InstanceSpec("random", 8, 4, 16, 3)).to_dict()
+        report = algos.run_fast(instance, 0.2, 0.25, 0.2, 3, record_trace=False)
+        assert out.read_text() == _report_text(instance, report, 0.2, 0.25)
+
+    @pytest.mark.parametrize("algo, run", [("mid", algos.run_mid),
+                                           ("personalized", algos.run_personalized)])
+    def test_literal_estimator(self, algo, run, tmp_path):
+        instance = generate(InstanceSpec("random", 6, 3, 16, 2))
+        texts = {}
+        for estimator in algos.ESTIMATORS:
+            out = tmp_path / f"{estimator}.json"
+            assert run_cli("solve", "--algo", algo, "--n", "6", "--k", "3",
+                           "--epsilon", "0.3", "--delta", "0.3", "--seed", "2",
+                           "--estimator", estimator, "--no-trace", "--out", str(out)) == 0
+            report = run(instance, 0.3, 0.3, 2, estimator=estimator, record_trace=False)
+            texts[estimator] = out.read_text()
+            assert texts[estimator] == _report_text(instance, report, 0.3, 0.25)
+        assert texts["literal"] != texts["unbiased"]
+
+
 class TestSweep:
     def test_grid_shape_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

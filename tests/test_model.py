@@ -501,6 +501,22 @@ class TestRandomizedHypothesis:
         with pytest.raises(ValueError):
             RandomizedHypothesis(np.eye(2, dtype=np.uint8), weights)
 
+    @pytest.mark.parametrize("bad", [-0.25, np.nan, -np.inf])
+    def test_rejects_a_negative_or_nan_weight_it_would_drop(self, bad):
+        # the bad weight's row is not kept, but the weights are still checked
+        cls = _class([0], [1])
+        for build in (lambda: RandomizedHypothesis(cls.matrix, [bad, 1.0]),
+                      lambda: RandomizedHypothesis.from_weights(cls.hypotheses, [bad, 1.0])):
+            with pytest.raises(ValueError,
+                               match="RandomizedHypothesis: negative or NaN probability"):
+                build()
+
+    def test_empty_weights_have_no_atom(self):
+        for build in (lambda: RandomizedHypothesis(np.zeros((0, 2), np.uint8), []),
+                      lambda: RandomizedHypothesis.from_weights([], [])):
+            with pytest.raises(ValueError, match="mixture needs at least one atom"):
+                build()
+
 
 class TestSerialization:
     def test_round_trip(self):
