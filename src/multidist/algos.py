@@ -227,8 +227,7 @@ def fast_params(epsilon: float, alpha: float, delta: float, k: int, d: int,
     """
     if not 0 < epsilon < 0.5 or not 0 < alpha < 0.5:
         raise ValueError("epsilon and alpha must be in (0, 0.5)")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
+    _check_epsilon_delta(epsilon, delta)
     if k < 1 or d < 0:
         raise ValueError("need k >= 1 and d >= 0")
     clamped = epsilon > alpha

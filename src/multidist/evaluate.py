@@ -7,6 +7,12 @@ nor the no-regret primitives in :mod:`multidist.online` import this module.
 The exact 2-smooth maximum, ``smooth_argmax``, lives in ``online`` and is
 re-exported here; the majority-subset check compares it with one order
 statistic of the losses, so it needs no guard on k.
+
+The instance path runs in vectorized passes: ``_random_class`` keys each
+batch's rows by their packed bytes in one pass, ``_build`` feeds each
+distribution ``tolist()`` columns, and ``loss_matrix`` computes one row per
+distinct distribution object; ``tests/reference_instance.py`` keeps the
+loops they replaced.
 """
 
 from __future__ import annotations
@@ -42,17 +48,21 @@ class OptResult:
 
 
 def loss_matrix(instance: MdlInstance) -> np.ndarray:
-    """Exact per-(distribution, hypothesis) loss table: per distribution, one
-    gemv of its support columns (gathered C-ordered by ``take``, compared with
-    uint8 labels, cast to float64) with its masses, the row-major product the
-    boolean ``(hmat[:, points] != labels) @ probs`` runs, so the same bits."""
+    """Exact per-(distribution, hypothesis) loss table: per distinct
+    distribution object, one gemv of its support columns (gathered C-ordered by
+    ``take``, compared with uint8 labels, cast to float64) with its masses, the
+    row-major product ``(hmat[:, points] != labels) @ probs`` runs: same bits."""
     hmat = instance.hypothesis_class.matrix
     cells = len(instance.hypothesis_class) * sum(
         d.support_size for d in instance.distributions)
     if cells > OPT_CELL_GUARD:
         raise GuardError(f"loss matrix would need {cells} cell evaluations")
     out = np.empty((instance.k, len(hmat)))
+    first: dict[int, int] = {}  # each distribution object's first row
     for i, dist in enumerate(instance.distributions):
+        if (j := first.setdefault(id(dist), i)) < i:
+            out[i] = out[j]
+            continue
         errs = hmat.take(dist.points, axis=1) != dist.labels.astype(np.uint8)
         np.matmul(errs.astype(np.float64), dist.probs, out=out[i])
     return out
@@ -151,22 +161,26 @@ class InstanceSpec:
 def _random_class(spec: InstanceSpec, rng: np.random.Generator) -> HypothesisClass:
     """The first `class_size` distinct uniform label vectors (at most 2^n),
     drawn in batches no larger than the number still missing, so the
-    generator ends exactly where one draw per vector would leave it."""
+    generator ends exactly where one draw per vector would leave it; a
+    batch's new rows, found by their packed bytes, are kept as one block."""
     if spec.class_family != "explicit":
         return HypothesisClass.from_family(spec.class_family, spec.n)
     want = _class_rows("explicit", spec.n, spec.class_size)
-    rows: list[np.ndarray] = []
+    row_key = np.dtype((np.void, (spec.n + 7) // 8))  # one packed row
+    blocks: list[np.ndarray] = []
     seen: set[bytes] = set()
     attempts = 0
-    while len(rows) < want and attempts < 200 * want:
-        take = min(want - len(rows), 200 * want - attempts)
+    while len(seen) < want and attempts < 200 * want:
+        take = min(want - len(seen), 200 * want - attempts)
         attempts += take
-        for row in rng.integers(0, 2, size=(take, spec.n)).astype(np.uint8):
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
-    return HypothesisClass(np.array(rows))
+        batch = rng.integers(0, 2, size=(take, spec.n)).astype(np.uint8)
+        new = []
+        for j, row in enumerate(np.packbits(batch, axis=1).view(row_key).ravel().tolist()):
+            if row not in seen:
+                seen.add(row)
+                new.append(j)
+        blocks.append(batch[new])
+    return HypothesisClass(np.concatenate(blocks))
 
 
 def _with_member(hclass: HypothesisClass, member: np.ndarray) -> tuple[HypothesisClass, int]:
@@ -194,7 +208,7 @@ def _build(spec: InstanceSpec, rng: np.random.Generator) -> tuple[MdlInstance, i
             pairs = rng.choice(2 * n, size=size, replace=False)
             probs = rng.dirichlet(np.ones(size))
             dists.append(FiniteDistribution(
-                [(int(v // 2), int(v % 2), float(p)) for v, p in zip(pairs, probs)]))
+                zip((pairs // 2).tolist(), (pairs % 2).tolist(), probs.tolist())))
         return MdlInstance(n, dists, hclass), None
 
     if spec.family == "realizable":
@@ -205,16 +219,16 @@ def _build(spec: InstanceSpec, rng: np.random.Generator) -> tuple[MdlInstance, i
             pts = _support_points(n, rng)
             probs = rng.dirichlet(np.ones(len(pts)))
             dists.append(FiniteDistribution(
-                [(int(x), int(star[x]), float(p)) for x, p in zip(pts, probs)]))
+                zip(pts.tolist(), star[pts].tolist(), probs.tolist())))
         return MdlInstance(n, dists, hclass), planted
 
     if spec.family == "opposed_labels":
         # Shared support and masses, labels flipped between two halves, so
         # any hypothesis pays >= 1/2 on one side: a high-OPT stress instance.
         pts = _support_points(n, rng)
-        probs = rng.dirichlet(np.ones(len(pts)))
-        zeros = FiniteDistribution([(int(x), 0, float(p)) for x, p in zip(pts, probs)])
-        ones = FiniteDistribution([(int(x), 1, float(p)) for x, p in zip(pts, probs)])
+        xs, probs = pts.tolist(), rng.dirichlet(np.ones(len(pts))).tolist()
+        zeros = FiniteDistribution(zip(xs, [0] * len(xs), probs))
+        ones = FiniteDistribution(zip(xs, [1] * len(xs), probs))
         half = (k + 1) // 2
         dists = [zeros if i < half else ones for i in range(k)]
         return MdlInstance(n, dists, hclass), None
@@ -232,11 +246,10 @@ def _build(spec: InstanceSpec, rng: np.random.Generator) -> tuple[MdlInstance, i
     for _ in range(k):
         pts = _support_points(n, rng)
         marg = rng.dirichlet(np.ones(len(pts)))
-        atoms = []
-        for x, m in zip(pts, marg):
-            atoms.append((int(x), 1, float(m * q[x])))
-            atoms.append((int(x), 0, float(m * (1.0 - q[x]))))
-        dists.append(FiniteDistribution(atoms))
+        ones, zeros = (marg * q[pts]).tolist(), (marg * (1.0 - q[pts])).tolist()
+        dists.append(FiniteDistribution(
+            atom for x, p1, p0 in zip(pts.tolist(), ones, zeros)
+            for atom in ((x, 1, p1), (x, 0, p0))))
     return MdlInstance(n, dists, hclass), planted
 
 

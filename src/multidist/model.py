@@ -8,6 +8,9 @@ realized query budgets can be compared against predicted ones exactly.
 Every class is built from one 0/1 matrix; ``first_distinct_rows`` is the
 one row dedupe, for classes and for ``cover.projection_cover`` alike.  It
 packs each row into bytes and sorts one opaque key per row.
+A distribution's constructor and ``_normalized``, the one owner of the mass
+rule, reduce with ufuncs (``np.minimum.reduce``, ``np.add.reduce``,
+``np.add.accumulate``): the ``ndarray`` methods' bits without their wrappers.
 
 The public oracles validate their arguments.  All but ``oracle_sample_many``
 then draw through one private path, ``_draws``: it looks up a batch of atoms
@@ -104,14 +107,14 @@ def derive_seed(*parts: int) -> int:
 
 def _check_nonnegative(probs: np.ndarray, what: str) -> None:
     # written so that a NaN fails it
-    if not probs.min() >= 0:
+    if not np.minimum.reduce(probs) >= 0:
         raise ValueError(f"{what}: negative or NaN probability")
 
 
 def _normalized(probs: np.ndarray, what: str) -> np.ndarray:
     _check_nonnegative(probs, what)
     # written so that a NaN sum fails it
-    total = float(probs.sum())
+    total = float(np.add.reduce(probs))
     if not abs(total - 1.0) <= RENORM_TOL:
         raise ValueError(f"{what}: probabilities sum to {total!r}, not 1")
     return probs / total
@@ -154,7 +157,7 @@ class FiniteDistribution:
         pts = _integers(np.array([a[0] for a in atoms]), "domain points")
         labels = [a[1] for a in atoms]
         pbs = np.array([a[2] for a in atoms], dtype=np.float64)
-        if pts.min() < 0:
+        if np.minimum.reduce(pts) < 0:
             raise ValueError("negative domain point")
         # 0.0, 1.0, False and True hash and compare as 0 and 1; 0.7 does not
         if not set(labels) <= {0, 1}:
@@ -167,7 +170,7 @@ class FiniteDistribution:
         # The last atom's upper edge is +inf rather than the rounded total, so
         # every uniform lands on an atom: the same atom a clamp to the last
         # index would give, without the clamp.
-        self._cdf = np.cumsum(self.probs)
+        self._cdf = np.add.accumulate(self.probs)
         self._cdf[-1] = np.inf
         self._cdf_list = self._cdf.tolist()
 
@@ -179,7 +182,7 @@ class FiniteDistribution:
         return list(zip(self.points.tolist(), self.labels.tolist(), self.probs.tolist()))
 
     def max_point(self) -> int:
-        return int(self.points.max())
+        return int(np.maximum.reduce(self.points))
 
     def atom_index(self, u: float | np.ndarray):
         """Inverse-CDF index of the atom at the uniform u in [0, 1), or the

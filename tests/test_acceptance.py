@@ -262,9 +262,12 @@ def test_c09_estimator_unbiasedness():
                 cnt = int((chosen == i).sum())
                 dist = inst.distributions[i]
                 idx = dist.draw_indices(cnt, pair_rng)
-                for x, y in zip(dist.points[idx], dist.labels[idx]):
-                    acc += mid_adversary_estimate(
-                        uniform, i, LabeledExample(int(x), int(y)), h).values
+                # the same draws, summed as one estimate per distinct atom
+                # times the number of times it was drawn
+                counts = np.bincount(idx, minlength=dist.support_size)
+                for atom in np.flatnonzero(counts).tolist():
+                    z = LabeledExample(int(dist.points[atom]), int(dist.labels[atom]))
+                    acc += int(counts[atom]) * mid_adversary_estimate(uniform, i, z, h).values
             acc /= draws
 
             def loss_on(x, y):

@@ -66,6 +66,11 @@ class TestFastParams:
         with pytest.raises(ValueError):
             fast_params(0.6, 0.25, 0.1, k=2, d=1)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, float("nan"), float("inf")])
+    def test_delta_checked_by_the_shared_rule(self, delta):
+        with pytest.raises(ValueError, match=r"epsilon and delta must be in \(0, 1\)"):
+            fast_params(0.2, 0.25, delta, k=2, d=1)
+
 
 class TestRunFast:
     def test_ledger_identity_across_configs(self):

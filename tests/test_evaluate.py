@@ -102,6 +102,28 @@ class TestLossMatrixReference:
         _assert_bitwise_reference(generate(InstanceSpec(
             "shared_bayes", n=n, k=64, class_size=1, seed=4, class_family=class_family)))
 
+    @pytest.mark.parametrize("k", [2, 3, 64])
+    def test_repeated_distribution_objects_bitwise(self, k):
+        # opposed_labels lists two distribution objects, each repeated
+        for seed in range(5):
+            inst = generate(InstanceSpec("opposed_labels", n=12, k=k, class_size=1024,
+                                         seed=seed))
+            assert len({id(d) for d in inst.distributions}) == 2
+            _assert_bitwise_reference(inst)
+
+    def test_one_object_at_positions_apart(self):
+        rng = make_rng(11)
+        cls = HypothesisClass(rng.integers(0, 2, size=(300, 9)))
+        a, b, c = (FiniteDistribution(zip(rng.choice(9, 4, replace=False).tolist(),
+                                          rng.integers(0, 2, 4).tolist(),
+                                          rng.dirichlet(np.ones(4)).tolist()))
+                   for _ in range(3))
+        inst = MdlInstance(9, [a, b, a, c, b, a], cls)
+        got = loss_matrix(inst)
+        _assert_bitwise_reference(inst)
+        assert np.array_equal(got[0], got[2]) and np.array_equal(got[0], got[5])
+        assert np.array_equal(got[1], got[4])
+
 
 class TestMaxLoss:
     def test_argmin_attains_opt(self):

@@ -45,8 +45,10 @@ def _assert_same_as_reference(monkeypatch, cases) -> list[list[str]]:
     for case, dumped in zip(cases, ours):
         ref = [_dumped(r) for r in _runs(*case[1:])]
         for algo, a, b in zip(("finite", "cover_finite", "fast"), dumped, ref):
-            # a plain bool keeps pytest from diffing two long JSON strings
-            assert a == b, f"{algo} on {case[0]}"
+            # asserting a plain bool keeps pytest from diffing two long JSON
+            # strings on failure
+            same = a == b
+            assert same, f"{algo} on {case[0]}"
     return ours
 
 

@@ -21,13 +21,17 @@ from reference_instance import (
 )
 
 # (n, class sizes): every n reaches sizes at or beyond 2^n where that is
-# drawable; n = 70 rows do not fit in an int64 code.
+# drawable; n = 70 rows do not fit in an int64 code.  Then every other
+# n <= 10 at 2^n, where the batches shrink to single rows, and the n where
+# a packed row fills 8 bytes (63, 64) or spills into a ninth (65).
 RANDOM_CLASS_CASES = [
     (1, [1, 2, 3]),
     (3, [1, 2, 5, 8, 9, 40]),
     (12, [1, 7, 300, 1024, 4096, 5000]),
     (14, [1, 100, 2000, 6000]),
     (70, [1, 2, 50, 700]),
+    *((n, [2 ** n]) for n in (2, 4, 5, 6, 7, 8, 9, 10)),
+    *((n, [1, 40, 500]) for n in (63, 64, 65)),
 ]
 
 
@@ -59,11 +63,16 @@ def test_structured_families_match_reference(family):
 def test_generated_instances_match_reference(family, class_family, monkeypatch):
     specs = [InstanceSpec(family, n=7, k=3, class_size=8 + 30 * s, seed=s,
                           class_family=class_family) for s in range(4)]
+    # and the benchmark's gen cells: n = 12, k = 64, |H| = 1024
+    specs += [InstanceSpec(family, n=12, k=64, class_size=1024, seed=s,
+                           class_family=class_family) for s in range(2)]
     ours = [json.dumps(evaluate.generate(s).to_dict(), sort_keys=True) for s in specs]
     monkeypatch.setattr(evaluate, "_random_class", reference_random_class)
     monkeypatch.setattr(evaluate, "_with_member", reference_with_member)
     theirs = [json.dumps(evaluate.generate(s).to_dict(), sort_keys=True) for s in specs]
-    assert ours == theirs
+    # a plain bool keeps pytest from diffing long JSON strings on failure
+    same = ours == theirs
+    assert same
 
 
 @given(rows=st.integers(1, 6).flatmap(lambda n: st.lists(
