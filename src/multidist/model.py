@@ -253,9 +253,9 @@ class HypothesisClass:
     explicit rows.  The per-row :class:`Hypothesis` objects are built only
     when ``hypotheses`` is first read; the algorithms never read it.
 
-    A class is tagged ``explicit`` unless a structured-family builder
-    (``thresholds``, ``intervals``, ``singletons``) made it, so a tag always
-    names the rows the class holds.
+    A class is tagged ``explicit`` unless ``from_family``, the one builder of
+    the structured families, made it, so a tag always names the rows the
+    class holds, and ``vc_dimension`` reads the family's closed form from it.
     """
 
     __slots__ = ("matrix", "family_tag", "_hypotheses")
@@ -277,15 +277,6 @@ class HypothesisClass:
         self.family_tag = "explicit"
         self._hypotheses: list[Hypothesis] | None = None
 
-    @classmethod
-    def _tagged(cls, label_vectors: Iterable[Sequence[int]],
-                family: str) -> "HypothesisClass":
-        """The class of these rows, tagged as the structured `family` they
-        are; for the family builders only."""
-        out = cls(label_vectors)
-        out.family_tag = family
-        return out
-
     @property
     def hypotheses(self) -> list[Hypothesis]:
         """One Hypothesis per row, its id the row index."""
@@ -301,39 +292,28 @@ class HypothesisClass:
         return self.matrix.shape[1]
 
     @classmethod
-    def thresholds(cls, n: int) -> "HypothesisClass":
-        """All step labelings 1[x >= t], t = 0..n."""
-        _class_rows("thresholds", n)
-        return cls._tagged(np.arange(n) >= np.arange(n + 1)[:, None], "thresholds")
-
-    @classmethod
-    def intervals(cls, n: int) -> "HypothesisClass":
-        """All labelings 1[a <= x < b] including the empty interval."""
-        _class_rows("intervals", n)
-        a, b = np.triu_indices(n + 1)
-        x = np.arange(n)
-        return cls._tagged((a[:, None] <= x) & (x < b[:, None]), "intervals")
-
-    @classmethod
-    def singletons(cls, n: int) -> "HypothesisClass":
-        """One indicator hypothesis per domain point."""
-        _class_rows("singletons", n)
-        return cls._tagged(np.eye(n, dtype=np.uint8), "singletons")
-
-    @classmethod
     def from_family(cls, family: str, n: int,
                     vectors: Iterable[Sequence[int]] | None = None) -> "HypothesisClass":
+        """The class of `family` over n points, the one builder of structured
+        classes: thresholds 1[x >= t] for t = 0..n, intervals 1[a <= x < b]
+        with the empty one, or singletons 1[x = i]; `explicit` takes the rows
+        `vectors`.  A structured class is sized by ``_class_rows`` before its
+        matrix is allocated, and tagged with its family."""
         if family == "explicit":
             if vectors is None:
                 raise ValueError("explicit family needs label vectors")
             return cls(vectors)
+        _class_rows(family, n)
+        x = np.arange(n)
         if family == "thresholds":
-            return cls.thresholds(n)
-        if family == "intervals":
-            return cls.intervals(n)
-        if family == "singletons":
-            return cls.singletons(n)
-        raise ValueError(f"unknown family {family!r}")
+            out = cls(x >= np.arange(n + 1)[:, None])
+        elif family == "intervals":
+            a, b = np.triu_indices(n + 1)
+            out = cls((a[:, None] <= x) & (x < b[:, None]))
+        else:
+            out = cls(np.eye(n, dtype=np.uint8))
+        out.family_tag = family
+        return out
 
 
 class RandomizedHypothesis(_Scored):
@@ -455,7 +435,8 @@ class MdlInstance:
     def save(self, path: str) -> None:
         """Write ``json.dumps(self.to_dict(), sort_keys=True)`` and a newline,
         byte for byte; the class rows are formatted from the matrix in one
-        byte pass (``[0, 0, ..., 0], `` per row, its labels added to the digits)."""
+        byte pass (``[0, 0, ..., 0], `` per row, its labels added to the digits),
+        and each distinct distribution object once, its text repeated."""
         hclass = self.hypothesis_class
         cls_text = f'"family": {json.dumps(hclass.family_tag)}'
         if hclass.family_tag == "explicit":
@@ -464,7 +445,8 @@ class MdlInstance:
             rows = np.tile(np.frombuffer(row, np.uint8), (h, 1))
             rows[:, 1:3 * n:3] += hclass.matrix
             cls_text += f', "hypotheses": [{rows.tobytes()[:-2].decode()}]'
-        dists = json.dumps([d.atoms() for d in self.distributions])
+        text = {id(d): json.dumps(d.atoms()) for d in dict.fromkeys(self.distributions)}
+        dists = f"[{', '.join(text[id(d)] for d in self.distributions)}]"
         with open(path, "w", encoding="utf-8") as f:
             f.write(f'{{"class": {{{cls_text}}}, "distributions": {dists}, '
                     f'"domain_size": {json.dumps(self.domain_size)}}}\n')
@@ -729,12 +711,13 @@ def brute_force_vc(hclass: HypothesisClass, n: int) -> int:
 
 def vc_dimension(hclass: HypothesisClass) -> int:
     """Exact VC dimension: closed forms for the structured families (whose
-    tag only their builders set), ``brute_force_vc`` for explicit classes.
-    Thresholds shatter one point, intervals two (one at n = 1), singletons
-    one (none at n = 1, where the class is one row).
+    tag only ``from_family`` sets), ``brute_force_vc`` for explicit classes.
+    Over n points, thresholds have min(n, 1), intervals min(n, 2) and
+    singletons min(n - 1, 1) (one row at n = 1; at n = 0 the class is empty,
+    which the constructor refuses).
     """
     n = hclass.domain_size
-    closed = {"thresholds": 1, "intervals": min(n, 2), "singletons": min(n - 1, 1)}
+    closed = {"thresholds": min(n, 1), "intervals": min(n, 2), "singletons": min(n - 1, 1)}
     if hclass.family_tag in closed:
         return closed[hclass.family_tag]
     return brute_force_vc(hclass, n)

@@ -59,9 +59,10 @@ def reference_family_vectors(family: str, n: int) -> list[list[int]]:
 
 
 def _reference_class(vectors, family: str = "explicit") -> HypothesisClass:
-    # the matrix is already deduplicated, so the constructor keeps it as is;
-    # a family tag goes on through the builders' own path
-    return HypothesisClass._tagged(reference_class_matrix(vectors), family)
+    # the matrix is already deduplicated, so the constructor keeps it as is
+    out = HypothesisClass(reference_class_matrix(vectors))
+    out.family_tag = family
+    return out
 
 
 def reference_random_class(spec: InstanceSpec, rng: np.random.Generator) -> HypothesisClass:

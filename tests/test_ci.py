@@ -1,7 +1,9 @@
 """The CI workflow times out after 30 minutes.  It prints the Python and
-numpy versions and numpy's BLAS, runs a short benchmark correctness check on
-every workload, untraced and traced, then the tier-1 command that ROADMAP.md
-names, then logs the line count of src/ that ROADMAP.md tracks.  Its matrix
+numpy versions and numpy's BLAS, runs the installed `multidist` console
+script's `gen` and `solve` on a tiny instance, runs a short benchmark
+correctness check on every workload, untraced and traced, then the tier-1
+command that ROADMAP.md names, then logs the line count of src/ that
+ROADMAP.md tracks.  Its matrix
 starts at the oldest Python that pyproject.toml declares, and the package
 imports nothing beyond the dependencies pyproject.toml declares."""
 
@@ -46,6 +48,23 @@ def test_workflow_checks_the_benchmark_before_tier1():
     assert "for t in 0 1; do" in [line.strip() for line in run.splitlines()]
     assert '--seed 1 --seconds 2 --trace "$t"' in run
     assert 'r["correct"] is True and r["failed"] == 0' in run
+
+
+def test_workflow_runs_the_console_script_before_tier1():
+    # README's CLI examples run the installed script, while the tests call
+    # cli.main, so only this step catches a broken [project.scripts] entry
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
+    runs = [step["run"] for step in workflow["jobs"]["tests"]["steps"] if "run" in step]
+    assert re.search(r'^multidist = "multidist\.cli:main"$',
+                     (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    install = next(i for i, run in enumerate(runs) if ".[test]" in run)
+    script = [i for i, run in enumerate(runs) if "multidist gen" in run]
+    assert len(script) == 1 and install < script[0] < len(runs) - 2
+    lines = runs[script[0]].splitlines()
+    assert [line.split()[:2] for line in lines] == [["multidist", "gen"],
+                                                    ["multidist", "solve"]]
+    assert "--no-trace" in lines[1].split()
 
 
 def test_workflow_prints_the_versions_before_the_benchmark_smoke():

@@ -151,7 +151,7 @@ class TestProjectionCover:
         assert np.array_equal(result.subclass.matrix, cls.matrix)
 
     def test_single_point_at_most_two(self):
-        cls = HypothesisClass.intervals(5)
+        cls = HypothesisClass.from_family("intervals", 5)
         result = projection_cover(cls, [2])
         assert result.behavior_count <= 2
 

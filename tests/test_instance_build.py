@@ -50,7 +50,8 @@ def test_random_class_matches_reference(n, sizes):
 
 @pytest.mark.parametrize("family", ["thresholds", "intervals", "singletons"])
 def test_structured_families_match_reference(family):
-    for n in range(1, 40):
+    # singletons are empty at n = 0, which the constructor refuses
+    for n in range(family == "singletons", 40):
         got = HypothesisClass.from_family(family, n)
         want = reference_class_matrix(reference_family_vectors(family, n))
         assert np.array_equal(got.matrix, want), (family, n)

@@ -331,10 +331,10 @@ def _vc_oracle(hclass: HypothesisClass, n: int) -> int:
 
 class TestBruteForceVc:
     def test_singletons(self):
-        assert brute_force_vc(HypothesisClass.singletons(5), 5) == 1
+        assert brute_force_vc(HypothesisClass.from_family("singletons", 5), 5) == 1
 
     def test_thresholds_against_oracle(self):
-        cls = HypothesisClass.thresholds(8)
+        cls = HypothesisClass.from_family("thresholds", 8)
         assert brute_force_vc(cls, 8) == _vc_oracle(cls, 8) == 1
 
     def test_full_cube(self):
@@ -342,7 +342,7 @@ class TestBruteForceVc:
         assert brute_force_vc(HypothesisClass(vecs), 4) == 4
 
     def test_intervals_against_oracle(self):
-        cls = HypothesisClass.intervals(6)
+        cls = HypothesisClass.from_family("intervals", 6)
         assert brute_force_vc(cls, 6) == _vc_oracle(cls, 6) == 2
 
     @given(data=st.data())
@@ -353,13 +353,15 @@ class TestBruteForceVc:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            brute_force_vc(HypothesisClass.thresholds(30), 30)
+            brute_force_vc(HypothesisClass.from_family("thresholds", 30), 30)
 
 
 class TestVcDimension:
     @pytest.mark.parametrize("family", ["thresholds", "intervals", "singletons"])
     def test_closed_form_matches_brute_force(self, family):
-        for n in range(1, 21):
+        # thresholds and intervals are one empty row at n = 0 (VC 0), and
+        # singletons are empty there
+        for n in range(family == "singletons", 21):
             cls = HypothesisClass.from_family(family, n)
             assert vc_dimension(cls) == brute_force_vc(cls, n), (family, n)
 
@@ -371,8 +373,9 @@ class TestVcDimension:
         vecs = [[(i >> j) & 1 for j in range(4)] for i in range(16)]
         assert vc_dimension(HypothesisClass(vecs)) == 4
         # the thresholds' rows, but an explicit class: brute force and its guard
+        rows = HypothesisClass.from_family("thresholds", 30).matrix
         with pytest.raises(GuardError):
-            vc_dimension(HypothesisClass(HypothesisClass.thresholds(30).matrix))
+            vc_dimension(HypothesisClass(rows))
 
 
 class TestHypothesisClass:
@@ -381,7 +384,7 @@ class TestHypothesisClass:
         assert len(cls) == 2
 
     def test_ids_are_positions(self):
-        cls = HypothesisClass.thresholds(4)
+        cls = HypothesisClass.from_family("thresholds", 4)
         assert [h.id for h in cls.hypotheses] == list(range(len(cls)))
 
     def test_rejects_mixed_lengths(self):
@@ -389,8 +392,8 @@ class TestHypothesisClass:
             _class([0, 1], [0, 1, 1])
 
     def test_family_expansion_deterministic(self):
-        a = HypothesisClass.intervals(5)
-        b = HypothesisClass.intervals(5)
+        a = HypothesisClass.from_family("intervals", 5)
+        b = HypothesisClass.from_family("intervals", 5)
         assert np.array_equal(a.matrix, b.matrix)
 
     @pytest.mark.parametrize("bad", [0.7, 2, -1, 1.5, float("nan")])
@@ -415,8 +418,8 @@ class TestHypothesisClass:
     def test_builders_size_the_class_before_building_it(self, monkeypatch):
         # the bound is inclusive; thresholds at n = 10 are 11 x 10 labels
         monkeypatch.setattr(model, "CLASS_CELL_GUARD", 110)
-        assert len(HypothesisClass.thresholds(10)) == 11
-        assert len(HypothesisClass.singletons(10)) == 10
+        assert len(HypothesisClass.from_family("thresholds", 10)) == 11
+        assert len(HypothesisClass.from_family("singletons", 10)) == 10
         for family, n in (("thresholds", 11), ("intervals", 10), ("singletons", 11)):
             with pytest.raises(GuardError, match="class guard"):
                 HypothesisClass.from_family(family, n)
@@ -437,8 +440,9 @@ class TestHypothesisClass:
 
 
 class TestFamilyTag:
-    """A structured family's tag comes only from its builder, so the tag
-    always names the rows the class holds."""
+    """A structured family's tag comes only from ``from_family``, the one
+    builder of structured classes, so the tag always names the rows the
+    class holds."""
 
     def test_constructor_takes_no_tag(self):
         # a one-row class tagged "intervals" used to report VC 2 and reload
@@ -449,7 +453,7 @@ class TestFamilyTag:
 
     @pytest.mark.parametrize("family", ["thresholds", "intervals", "singletons"])
     def test_builders_tag_their_classes(self, family):
-        assert getattr(HypothesisClass, family)(5).family_tag == family
+        assert not hasattr(HypothesisClass, family)
         assert HypothesisClass.from_family(family, 5).family_tag == family
         assert HypothesisClass.from_family("explicit", 2, [[0, 1]]).family_tag == "explicit"
 
@@ -467,9 +471,9 @@ class TestFamilyTag:
         absent[0] = 0
         # _with_member prepends a row a structured class lacks, so the
         # result must be (and is tagged) explicit
-        built += [_with_member(HypothesisClass.singletons(n), absent)[0],
-                  _with_member(HypothesisClass.thresholds(n), absent)[0],
-                  projection_cover(HypothesisClass.intervals(n), [0, n - 1]).subclass]
+        thresholds, intervals, singletons = built
+        built += [_with_member(singletons, absent)[0], _with_member(thresholds, absent)[0],
+                  projection_cover(intervals, [0, n - 1]).subclass]
         for hclass in built:
             again = self._round_trip(hclass)
             assert np.array_equal(again.matrix, hclass.matrix)
@@ -521,7 +525,7 @@ class TestRandomizedHypothesis:
 class TestSerialization:
     def test_round_trip(self):
         inst = _instance([FiniteDistribution([(0, 0, 0.25), (3, 1, 0.75)])],
-                         hclass=HypothesisClass.thresholds(4))
+                         hclass=HypothesisClass.from_family("thresholds", 4))
         again = MdlInstance.from_dict(inst.to_dict())
         assert again.to_dict() == inst.to_dict()
 
@@ -545,6 +549,8 @@ class TestSerialization:
         "n1": InstanceSpec("random", n=1, k=3, class_size=2, seed=1),
         "one_row": InstanceSpec("random", n=6, k=2, class_size=1, seed=4),
         "k64_h1024": InstanceSpec("realizable", n=12, k=64, class_size=1024, seed=3),
+        # 64 positions over 2 distribution objects, each formatted once
+        "opposed_k64": InstanceSpec("opposed_labels", n=12, k=64, class_size=1024, seed=3),
     }
 
     @staticmethod
