@@ -29,11 +29,11 @@ before the loop.
 
 Per run, the loop computes each drawn (point, label)'s cost and Hedge
 factor rows once, and scales and normalizes the learner in place, in its
-row of the check stack; the learner's mean rides that stack too, summed
-once per stack in row order.  It takes its randomness in blocks of
-``_PAIR_BLOCK`` rounds, one double of the stream per draw
-(``rng.random((count, width))``, so a block boundary does not move the
-stream): each round's mixture oracle and atom, then the adversary's own
+row of the check stack (the stack's row views are made once, as a list);
+the learner's mean rides that stack too, summed once per stack in row
+order.  It takes its randomness in blocks of ``_PAIR_BLOCK`` rounds, one
+double of the stream per draw (``rng.random((count, width))``, so a block
+boundary does not move the stream): each round's mixture oracle and atom, then the adversary's own
 query, if it has one; and it ledgers each block's per-oracle counts at
 once.  The mid adversary scores the learner at its point with one dot
 product of the learner's weights and the labels there.  All of these give
@@ -320,7 +320,8 @@ def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
     stack = np.zeros((check_rows + 2, len(matrix)))
     learner = stack[1]
     learner[:] = SimplexWeights.uniform(len(matrix)).w
-    learner_rows, adversary_rows = stack[2:], np.empty((check_rows, k))
+    learner_stack, adversary_rows = stack[2:], np.empty((check_rows, k))
+    learner_rows = list(learner_stack)  # each round's row, as a view made once
     feedback, step = adversary.feedback, adversary.step
     key, cap = adversary.trace_key, adversary.cap
     pending = 0
@@ -334,10 +335,11 @@ def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
                 i = _mixture_index(adversary.w, u1)
                 counts[i] += 1
                 atom = keys[i][dists[i].atom_index(u2)]
-                if atom not in rows:
+                entry = rows.get(atom)
+                if entry is None:
                     costs = (matrix[:, atom[0]] != atom[1]).astype(np.float64)
-                    rows[atom] = costs, np.exp(-eta * costs)
-                costs, factors = rows[atom]
+                    entry = rows[atom] = costs, np.exp(-eta * costs)
+                costs, factors = entry
                 chosen, value = feedback(learner, costs, i, query)
                 if record_trace:
                     trace.append({"t": t, "adversary": adversary.w.tolist(),
@@ -350,14 +352,14 @@ def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
                 pending += 1
                 if pending == check_rows:
                     pending = 0
-                    _check_simplex_rows(learner_rows, adversary_rows, cap=cap)
+                    _check_simplex_rows(learner_stack, adversary_rows, cap=cap)
                     stack[0] = np.add.reduce(stack[:-1], axis=0)
                     stack[1] = learner
                     learner = stack[1]
             for i, n in enumerate(counts):
                 ledger.record(i, n)
     finally:  # the last rounds, or those before the round that raised
-        _check_simplex_rows(learner_rows[:pending], adversary_rows[:pending], cap=cap)
+        _check_simplex_rows(learner_stack[:pending], adversary_rows[:pending], cap=cap)
     return np.add.reduce(stack[:pending + 1], axis=0) / T
 
 
@@ -533,8 +535,10 @@ class _CappedHedge:
     uniform (always below k, since ``random()`` never exceeds 1 - 2^-53, and
     within k * 2^-53 of uniform), the atom is at the fourth.  The estimate
     reads the learner's labels at the drawn point as a row of the transposed
-    class matrix.  It is one-hot, so the Hedge step scales the chosen weight
-    alone before the capped projection.
+    class matrix; ``__init__`` makes those rows a list of views and the
+    estimator's test a bool, so a round makes no view of its own.  The
+    estimate is one-hot, so the Hedge step scales the chosen weight alone
+    before the capped projection.
 
     The learner's probability of label 1 at the drawn point is one dot
     product of the learner, as the loop holds it, with that row; a zero
@@ -551,7 +555,8 @@ class _CappedHedge:
         _check_eta(eta)
         self.w = SimplexWeights.uniform(k, cap=cap).w
         self.k, self.eta, self.cap, self.estimator = k, eta, cap, estimator
-        self.labels_at = np.ascontiguousarray(matrix.T, dtype=np.float64)
+        self.literal = estimator == "literal"
+        self.labels_at = list(np.ascontiguousarray(matrix.T, dtype=np.float64))
 
     def queries(self, instance: MdlInstance, u: np.ndarray, ledger: SampleLedger):
         chosen = (u[:, 2] * self.k).astype(np.int64)
@@ -562,7 +567,7 @@ class _CappedHedge:
                  query: tuple[int, int, int]) -> tuple[int, float]:
         chosen, x, y = query
         p1 = float(learner @ self.labels_at[x])
-        weight = float(self.w[chosen]) if self.estimator == "literal" else 1.0
+        weight = float(self.w[chosen]) if self.literal else 1.0
         value = _estimate_value(_label_loss(p1, y), self.k, weight, self.estimator)
         if not -SUM_TOL <= value <= self.k + SUM_TOL:
             raise ValueError(f"adversary estimate {value!r} outside [0, {self.k}]")

@@ -436,7 +436,9 @@ class MdlInstance:
         """Write ``json.dumps(self.to_dict(), sort_keys=True)`` and a newline,
         byte for byte; the class rows are formatted from the matrix in one
         byte pass (``[0, 0, ..., 0], `` per row, its labels added to the digits),
-        and each distinct distribution object once, its text repeated."""
+        and the distinct distribution objects by one ``json.dumps`` of their
+        atom lists, split at the ``]], [[`` between two of them (no atom holds
+        one), each object's text repeated at its positions."""
         hclass = self.hypothesis_class
         cls_text = f'"family": {json.dumps(hclass.family_tag)}'
         if hclass.family_tag == "explicit":
@@ -445,7 +447,10 @@ class MdlInstance:
             rows = np.tile(np.frombuffer(row, np.uint8), (h, 1))
             rows[:, 1:3 * n:3] += hclass.matrix
             cls_text += f', "hypotheses": [{rows.tobytes()[:-2].decode()}]'
-        text = {id(d): json.dumps(d.atoms()) for d in dict.fromkeys(self.distributions)}
+        distinct = list(dict.fromkeys(self.distributions))
+        # every support is nonempty, so the dump is "[[[" ... "]]]"
+        pieces = json.dumps([d.atoms() for d in distinct])[3:-3].split("]], [[")
+        text = {id(d): f"[[{piece}]]" for d, piece in zip(distinct, pieces)}
         dists = f"[{', '.join(text[id(d)] for d in self.distributions)}]"
         with open(path, "w", encoding="utf-8") as f:
             f.write(f'{{"class": {{{cls_text}}}, "distributions": {dists}, '

@@ -17,6 +17,8 @@ failing row to ``_check_simplex`` for its error.  ``_project_capped`` returns
 the normalized vector at once when its maximum is within the cap; otherwise
 each clamping pass works on the index array of the coordinates still free
 (the masked pass it replaced is kept in ``tests/reference_projection.py``).
+The mid adversary runs it every round, so its clamp pass calls what
+numpy's convenience wrappers call, for their bits without their frames.
 """
 
 from __future__ import annotations
@@ -127,20 +129,24 @@ def _project_capped(v: np.ndarray, cap: float) -> np.ndarray:
     A normalized v within the cap is its own projection.  Otherwise each
     clamping pass keeps the indices of the coordinates still free:
     every other coordinate is at the cap, and the free ones share the
-    residual mass in proportion to v.
+    residual mass in proportion to v.  The pass calls what ``flatnonzero``,
+    ``full``, ``sum`` and ``all`` wrap (``nonzero()[0]``, ``empty`` then
+    ``fill``, ``np.add.reduce``, ``np.logical_and.reduce``): their bits,
+    without their wrappers' calls.
     """
     w = v / np.add.reduce(v)
     if float(np.maximum.reduce(w)) <= cap:
         return w
-    free = np.flatnonzero(w <= cap)
+    free = (w <= cap).nonzero()[0]
     while True:  # each pass clamps at least one more coordinate
         residual = 1.0 - cap * (len(v) - len(free))
-        w = np.full(len(v), cap)
+        w = np.empty(len(v))
+        w.fill(cap)
         if not (residual > 0 and len(free)):
             w[free] = 0.0
             return w
         source = v[free]
-        src_total = float(source.sum())
+        src_total = float(np.add.reduce(source))
         if src_total > 0:
             # divide before scaling: keeps subnormal inputs from
             # underflowing the redistributed mass to zero
@@ -149,7 +155,7 @@ def _project_capped(v: np.ndarray, cap: float) -> np.ndarray:
             share = np.full(len(free), residual / len(free))
         w[free] = share
         under = share <= cap
-        if under.all():
+        if np.logical_and.reduce(under):
             return w
         free = free[under]
 

@@ -124,6 +124,23 @@ class TestLossMatrixReference:
         assert np.array_equal(got[0], got[2]) and np.array_equal(got[0], got[5])
         assert np.array_equal(got[1], got[4])
 
+    @pytest.mark.parametrize("family", ["realizable", "shared_bayes"])
+    def test_blocks_stay_within_the_entry_budget(self, family, monkeypatch):
+        # a block holds several distinct objects, yet no more table entries
+        # than the budget unless it is one object alone
+        inst = generate(InstanceSpec(family, n=12, k=64, class_size=1024, seed=5))
+        blocks = []
+        loss_rows = evaluate._loss_rows
+
+        def recording(hmat, dists, block, out):
+            blocks.append((len(block), sum(dists[i].support_size for i in block) * len(hmat)))
+            return loss_rows(hmat, dists, block, out)
+
+        monkeypatch.setattr(evaluate, "_loss_rows", recording)
+        _assert_bitwise_reference(inst)
+        assert sum(n for n, _ in blocks) == 64 and max(n for n, _ in blocks) > 1
+        assert all(e <= evaluate._GATHER_ENTRIES or n == 1 for n, e in blocks)
+
 
 class TestMaxLoss:
     def test_argmin_attains_opt(self):

@@ -548,6 +548,7 @@ class TestSerialization:
            for cf in ("thresholds", "intervals", "singletons")},
         "n1": InstanceSpec("random", n=1, k=3, class_size=2, seed=1),
         "one_row": InstanceSpec("random", n=6, k=2, class_size=1, seed=4),
+        "k1": InstanceSpec("random", n=5, k=1, class_size=8, seed=2),
         "k64_h1024": InstanceSpec("realizable", n=12, k=64, class_size=1024, seed=3),
         # 64 positions over 2 distribution objects, each formatted once
         "opposed_k64": InstanceSpec("opposed_labels", n=12, k=64, class_size=1024, seed=3),
@@ -569,6 +570,24 @@ class TestSerialization:
         # loading renormalizes the masses, which may move their last bits,
         # so a reloaded instance is held to its own reference
         self._assert_save_bytes(MdlInstance.load(str(path)), tmp_path)
+
+    def test_save_dumps_as_often_at_k2_as_at_k64(self, tmp_path, monkeypatch):
+        # the distinct distributions are dumped in one call, not one each
+        dumps, calls = json.dumps, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(model.json, "dumps", counted)
+        counts = []
+        for k in (2, 64):
+            inst = generate(InstanceSpec("random", n=12, k=k, class_size=64, seed=7))
+            assert len({id(d) for d in inst.distributions}) == k
+            calls.clear()
+            inst.save(str(tmp_path / f"k{k}.json"))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestRng:

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from helpers import simplex_vectors
 import multidist.online
+from multidist import algos
+from multidist.evaluate import InstanceSpec, generate
+from multidist.model import derive_seed
 from multidist.online import (
     CostVector,
     SimplexWeights,
@@ -420,6 +423,35 @@ class TestProjectionAgainstReference:
             assert ours.tobytes() == ref.tobytes(), (v.tolist(), cap)
             clamped += bool((v / v.sum() > cap).any())
         assert 10_000 < clamped < 90_000
+
+    def test_bits_match_on_loop_steps(self, monkeypatch):
+        # every adversary step of mid, as the loop hands it over after the
+        # one-hot scale: a capped point re-clamped, with several coordinates
+        # exactly at the cap, which the random cases above are not built as
+        steps = []
+        project = algos._project_capped
+
+        def recording(v, cap):
+            steps.append((v.copy(), cap))
+            return project(v, cap)
+
+        monkeypatch.setattr(algos, "_project_capped", recording)
+        for k in (16, 64):
+            for s in range(4):
+                inst = generate(InstanceSpec("random", n=8, k=k, class_size=24,
+                                             seed=derive_seed(8304, k, s)))
+                algos.run_mid(inst, 0.3, 0.2, derive_seed(8305, k, s), record_trace=False)
+        clamped = at_cap = 0
+        for v, cap in steps:
+            ours = _project_capped(v, cap)
+            assert ours.tobytes() == reference_project_capped(v, cap).tobytes(), (
+                v.tolist(), cap)
+            clamped += bool((v / v.sum() > cap).any())
+            at_cap += np.count_nonzero(v == cap) >= 2
+        assert {len(v) for v, _ in steps} == {16, 64}
+        # 1,592 of the 8,312 steps clamp, 555 of them with two or more
+        # coordinates at the cap
+        assert clamped > 1_000 and at_cap > 250
 
 
 class TestExp3:
