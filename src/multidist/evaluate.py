@@ -11,10 +11,11 @@ statistic of the losses, so it needs no guard on k.
 The instance path runs in vectorized passes: ``_random_class`` keys each
 batch's rows by their packed bytes in one pass, ``_build`` feeds each
 distribution ``tolist()`` columns, and ``loss_matrix`` gathers, compares
-and casts the support columns of several distinct distribution objects at
-once, in blocks of bounded size, then computes one row per object by a gemv
-on its column slice; ``tests/reference_instance.py`` keeps the loops they
-replaced.
+and casts the support columns of several of the instance's ``distinct``
+objects at once, in blocks of bounded size, then computes one row per object
+by a gemv on its column slice; ``tests/reference_instance.py`` keeps the
+loops they replaced.  The loss table, its guard and the exact audit work
+once per distinct object; only personalized assignments, once per position.
 """
 
 from __future__ import annotations
@@ -57,33 +58,29 @@ class OptResult:
 
 
 def loss_matrix(instance: MdlInstance) -> np.ndarray:
-    """Exact per-(distribution, hypothesis) loss table.  The distinct
-    distribution objects (by ``id``) are taken in blocks of at most
-    ``_GATHER_ENTRIES`` table entries (or one object, if it alone is
-    wider); a repeated object copies its first row."""
+    """Exact per-(distribution, hypothesis) loss table: one row per distinct
+    object, in blocks of at most ``_GATHER_ENTRIES`` table entries (or one
+    object, if it alone is wider), spread over its positions.  The guard
+    bounds |H| x the distinct objects' supports, and the k x |H| entries."""
     hmat = instance.hypothesis_class.matrix
-    dists = instance.distributions
-    cells = len(instance.hypothesis_class) * sum(d.support_size for d in dists)
+    distinct = instance.distinct
+    cells = len(hmat) * sum(d.support_size for d in distinct)
     if cells > OPT_CELL_GUARD:
         raise GuardError(f"loss matrix would need {cells} cell evaluations")
-    out = np.empty((instance.k, len(hmat)))
-    first: dict[int, int] = {}  # each distribution object's first row
-    for i, d in enumerate(dists):
-        first.setdefault(id(d), i)
+    if instance.k * len(hmat) > OPT_CELL_GUARD:  # trips on repeated objects only
+        raise GuardError(f"loss matrix would hold {instance.k * len(hmat)} entries")
+    table = np.empty((len(distinct), len(hmat)))
     width = _GATHER_ENTRIES // len(hmat)  # support columns per block
     block: list[int] = []
     columns = 0
-    for i in first.values():
-        if block and columns + dists[i].support_size > width:
-            _loss_rows(hmat, dists, block, out)
+    for i, d in enumerate(distinct):
+        if block and columns + d.support_size > width:
+            _loss_rows(hmat, distinct, block, table)
             block, columns = [], 0
         block.append(i)
-        columns += dists[i].support_size
-    _loss_rows(hmat, dists, block, out)
-    for i, d in enumerate(dists):
-        if (j := first[id(d)]) < i:
-            out[i] = out[j]
-    return out
+        columns += d.support_size
+    _loss_rows(hmat, distinct, block, table)
+    return instance.by_position(table)
 
 
 def _loss_rows(hmat: np.ndarray, dists: list[FiniteDistribution],
@@ -111,16 +108,15 @@ def brute_force_opt(instance: MdlInstance) -> OptResult:
     return OptResult(float(worst[argmin]), argmin, matrix)
 
 
-def _per_distribution_losses(instance: MdlInstance, hypotheses: list) -> np.ndarray:
-    """Exact loss of each distribution under its own entry of `hypotheses`."""
-    return np.array([exact_loss(d, h)
-                     for d, h in zip(instance.distributions, hypotheses)])
+def _losses(instance: MdlInstance, h: Hypothesis | RandomizedHypothesis) -> np.ndarray:
+    """Exact loss of h on each distribution, one ``exact_loss`` per object."""
+    return instance.by_position(np.array([exact_loss(d, h) for d in instance.distinct]))
 
 
 def max_loss(instance: MdlInstance,
              h: Hypothesis | RandomizedHypothesis) -> tuple[float, int]:
     """Exact worst-case loss of h and the index of a worst distribution."""
-    losses = _per_distribution_losses(instance, [h] * instance.k)
+    losses = _losses(instance, h)
     worst = int(np.argmax(losses))
     return float(losses[worst]), worst
 
@@ -134,7 +130,7 @@ def minority_bound_check(instance: MdlInstance,
     False on any input is a build-breaking bug, not data.
     """
     k = instance.k
-    losses = _per_distribution_losses(instance, [h] * k)
+    losses = _losses(instance, h)
     smooth_value, _ = smooth_argmax(losses, smooth_cap(k))
     return bool(np.sort(losses)[(k + 1) // 2 - 1] <= smooth_value + 1e-12)
 
@@ -142,12 +138,12 @@ def minority_bound_check(instance: MdlInstance,
 def evaluate_run(instance: MdlInstance, report: RunReport, epsilon: float,
                  alpha: float, opt: OptResult) -> dict:
     """Exact losses of the run's output (a personalized run's assignments) vs OPT."""
-    k = instance.k
     if report.assignments is None:
-        losses = _per_distribution_losses(instance, [report.hypothesis] * k)
-        smooth = smooth_argmax(losses, smooth_cap(k))[0]
+        losses = _losses(instance, report.hypothesis)
+        smooth = smooth_argmax(losses, smooth_cap(instance.k))[0]
     else:
-        losses = _per_distribution_losses(instance, [report.assignments[i] for i in range(k)])
+        losses = np.array([exact_loss(d, report.assignments[i])
+                           for i, d in enumerate(instance.distributions)])
         smooth = None
     worst = int(np.argmax(losses))
     value = float(losses[worst])
@@ -311,8 +307,10 @@ def generate_with_opt(spec: InstanceSpec) -> tuple[MdlInstance, OptResult | None
     The optimum is None for the `random` family; callers that need it there
     compute it with :func:`brute_force_opt`.
     """
-    # Each distribution has at least one atom (two for shared_bayes), so
-    # rows x k (x 2) bounds the loss matrix's cells before anything is built.
+    # rows x k is the loss table's entries, which its guard bounds; the
+    # objects of every family but opposed_labels are all distinct, with at
+    # least one atom (two for shared_bayes), so rows x k (x 2) also bounds
+    # their cells, before anything is built.
     cells = _class_rows(spec.class_family, spec.n, spec.class_size) * spec.k * (
         2 if spec.family == "shared_bayes" else 1)
     if spec.family != "random" and cells > OPT_CELL_GUARD:

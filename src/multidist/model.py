@@ -11,23 +11,20 @@ packs each row into bytes and sorts one opaque key per row.
 A distribution's constructor and ``_normalized``, the one owner of the mass
 rule, reduce with ufuncs (``np.minimum.reduce``, ``np.add.reduce``,
 ``np.add.accumulate``): the ``ndarray`` methods' bits without their wrappers.
+An ``MdlInstance`` owns the record of which positions share a distribution
+object; ``save``, ``load`` and ``evaluate`` work once per distinct object.
 
-The public oracles validate their arguments.  All but ``oracle_sample_many``
-then draw through one private path, ``_draws``: it looks up a batch of atoms
-from given oracles at given uniforms, one lookup per oracle, and ledgers each
-oracle's count at once.  The scalar oracles hand it one-element arrays, after
-``_mixture_index`` for the mixture; ``oracle_sample_many``, one oracle's batch,
-takes ``draw_indices``.  Every draw is one double of the stream
+The public oracles validate their arguments, then draw through one private
+path, ``_draws``: it looks up a batch of atoms from given oracles at given
+uniforms, one lookup per oracle, and ledgers each oracle's count at once.
+The scalar oracles hand it one-element arrays, after ``_mixture_index`` for
+the mixture.  Every draw is one double of the stream
 (``rng.random(m)`` gives the doubles of m scalar ``rng.random()`` calls), so
 a loop may draw its uniforms in blocks.  The dynamics loop calls
-``_mixture_index`` every round, looks atoms up with ``atom_index`` directly
-and ledgers a block of rounds' draws at once.  ``_mixture_index`` bisects
-the mixture's CDF, computing at each probe the quotient that
-``rng.choice(k, p=p)`` computes for every entry, so a loop that uses it
-draws the same oracles from the same generator state.
-Every atom, scalar or batched, is looked up by one inverse-CDF method,
-``FiniteDistribution.atom_index``: a float by ``bisect_right`` on a list
-copy of the CDF, an array by ``searchsorted``.
+``_mixture_index`` every round (the oracle ``rng.choice(k, p=p)`` would draw,
+from the same generator state), looks atoms up directly with
+``FiniteDistribution.atom_index``, the one inverse-CDF lookup of every draw,
+and ledgers a block of rounds' draws at once.
 
 The exact VC search works from both ends.  Bottom up, a subset scan tries
 the levels m = 1, 2, ... over the subsets in ``itertools.combinations``
@@ -381,9 +378,11 @@ class SampleLedger:
 
 
 class MdlInstance:
-    """k finite-support distributions plus an explicit hypothesis class."""
+    """k finite-support distributions plus an explicit hypothesis class;
+    ``distinct`` lists the distinct distribution objects, first seen first,
+    and ``distinct_index[i]`` is position i's index into it."""
 
-    __slots__ = ("domain_size", "distributions", "hypothesis_class")
+    __slots__ = ("domain_size", "distributions", "hypothesis_class", "distinct", "distinct_index")
 
     def __init__(self, domain_size: int, distributions: Sequence[FiniteDistribution],
                  hypothesis_class: HypothesisClass):
@@ -393,7 +392,10 @@ class MdlInstance:
             raise ValueError("k must be ≥ 1")
         if hypothesis_class.domain_size != domain_size:
             raise DomainMismatchError("class domain size differs from instance")
-        for d in distributions:
+        index: dict[FiniteDistribution, int] = {}  # keyed by object identity
+        self.distinct_index = [index.setdefault(d, len(index)) for d in distributions]
+        self.distinct = list(index)
+        for d in self.distinct:
             if d.max_point() >= domain_size:
                 raise DomainMismatchError("distribution support outside domain")
         self.domain_size = domain_size
@@ -403,6 +405,10 @@ class MdlInstance:
     @property
     def k(self) -> int:
         return len(self.distributions)
+
+    def by_position(self, rows: np.ndarray) -> np.ndarray:
+        """Rows per distinct object as rows per position (`rows` itself if all are distinct)."""
+        return rows if len(self.distinct) == self.k else rows[self.distinct_index]
 
     def restrict(self, indices: Sequence[int]) -> "MdlInstance":
         """Sub-instance over a subset of the distributions (class shared)."""
@@ -425,20 +431,22 @@ class MdlInstance:
     @classmethod
     def from_dict(cls, obj: dict) -> "MdlInstance":
         n = int(obj["domain_size"])
-        dists = [FiniteDistribution([(x, y, p) for x, y, p in d])
-                 for d in obj["distributions"]]
+        # positions whose atom lists read alike (-0.0 apart) share one object
+        keys = [repr(d) for d in obj["distributions"]]
+        built = {key: FiniteDistribution([(x, y, p) for x, y, p in d])
+                 for key, d in dict(zip(keys, obj["distributions"])).items()}
         cobj = obj["class"]
         hclass = HypothesisClass.from_family(
             cobj["family"], n, cobj.get("hypotheses"))
-        return cls(n, dists, hclass)
+        return cls(n, [built[key] for key in keys], hclass)
 
     def save(self, path: str) -> None:
         """Write ``json.dumps(self.to_dict(), sort_keys=True)`` and a newline,
         byte for byte; the class rows are formatted from the matrix in one
         byte pass (``[0, 0, ..., 0], `` per row, its labels added to the digits),
-        and the distinct distribution objects by one ``json.dumps`` of their
-        atom lists, split at the ``]], [[`` between two of them (no atom holds
-        one), each object's text repeated at its positions."""
+        and the ``distinct`` objects by one ``json.dumps`` of their atom lists,
+        split at the ``]], [[`` between two of them (no atom holds one), each
+        object's text repeated at its positions."""
         hclass = self.hypothesis_class
         cls_text = f'"family": {json.dumps(hclass.family_tag)}'
         if hclass.family_tag == "explicit":
@@ -447,11 +455,10 @@ class MdlInstance:
             rows = np.tile(np.frombuffer(row, np.uint8), (h, 1))
             rows[:, 1:3 * n:3] += hclass.matrix
             cls_text += f', "hypotheses": [{rows.tobytes()[:-2].decode()}]'
-        distinct = list(dict.fromkeys(self.distributions))
         # every support is nonempty, so the dump is "[[[" ... "]]]"
-        pieces = json.dumps([d.atoms() for d in distinct])[3:-3].split("]], [[")
-        text = {id(d): f"[[{piece}]]" for d, piece in zip(distinct, pieces)}
-        dists = f"[{', '.join(text[id(d)] for d in self.distributions)}]"
+        pieces = json.dumps([d.atoms() for d in self.distinct])[3:-3].split("]], [[")
+        text = [f"[[{piece}]]" for piece in pieces]
+        dists = f"[{', '.join([text[j] for j in self.distinct_index])}]"
         with open(path, "w", encoding="utf-8") as f:
             f.write(f'{{"class": {{{cls_text}}}, "distributions": {dists}, '
                     f'"domain_size": {json.dumps(self.domain_size)}}}\n')
@@ -510,9 +517,7 @@ def _draws(instance: MdlInstance, oracles: np.ndarray, u: np.ndarray,
 def oracle_sample(instance: MdlInstance, i: int, rng: np.random.Generator,
                   ledger: SampleLedger) -> LabeledExample:
     """One ledgered draw from distribution i."""
-    if not 0 <= i < instance.k:
-        raise IndexError(f"oracle {i} out of range")
-    points, labels = _draws(instance, np.array([i]), rng.random(1), ledger)
+    points, labels = oracle_sample_many(instance, i, 1, rng, ledger)
     return LabeledExample(int(points[0]), int(labels[0]))
 
 
@@ -524,10 +529,7 @@ def oracle_sample_many(instance: MdlInstance, i: int, count: int,
         raise IndexError(f"oracle {i} out of range")
     if count < 0:
         raise ValueError("count must be >= 0")
-    dist = instance.distributions[i]
-    idx = dist.draw_indices(count, rng)
-    ledger.record(i, count)
-    return dist.points[idx].copy(), dist.labels[idx].copy()
+    return _draws(instance, np.full(count, i), rng.random(count), ledger)
 
 
 def _check_mixture(weights: np.ndarray, k: int) -> np.ndarray:

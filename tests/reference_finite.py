@@ -1,27 +1,22 @@
 """Object-level references for the wide-class paths, kept for differential
 tests.
 
-These are the finite loop, its Exp3 step, ERM and VC search as they ran
-before they moved onto plain arrays and counts: the loop draws through
+These are the finite loop, its Exp3 step and ERM as they ran before they
+moved onto plain arrays and counts: the loop draws through
 ``oracle_sample`` and validates each step through the public
 ``SimplexWeights`` wrappers (``hedge_step_cost``, ``exp3_step``), the Exp3
-step updates a copy, ERM averages a boolean mistake table, and the VC
-search counts distinct codes with ``np.unique``.  The array-native
-versions in ``multidist`` must return the same results, bit for bit.
+step updates a copy, and ERM averages a boolean mistake table.  The
+array-native versions in ``multidist`` must return the same results, bit
+for bit.  The slow VC reference is in ``reference_kernels``.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
 from multidist.algos import _finite_schedule
 from multidist.cover import SampleBatch
 from multidist.model import (
-    VC_MAX_CLASS,
-    VC_MAX_DOMAIN,
-    GuardError,
     Hypothesis,
     HypothesisClass,
     MdlInstance,
@@ -86,26 +81,3 @@ def reference_erm(hclass: HypothesisClass, batch: SampleBatch) -> Hypothesis:
         raise ValueError("empty class")
     errors = (hclass.matrix[:, batch.points] != batch.labels).mean(axis=1)
     return hclass.hypotheses[int(np.argmin(errors))]
-
-
-def reference_brute_force_vc(hclass: HypothesisClass, n: int) -> int:
-    """Exact VC dimension by subset enumeration (guarded to small inputs)."""
-    if n > VC_MAX_DOMAIN or len(hclass) > VC_MAX_CLASS:
-        raise GuardError(
-            f"VC guard: need n <= {VC_MAX_DOMAIN} and |class| <= {VC_MAX_CLASS}")
-    matrix = hclass.matrix.astype(np.int64)
-    best = 0
-    for m in range(1, n + 1):
-        if len(hclass) < (1 << m):
-            break
-        weights = 1 << np.arange(m, dtype=np.int64)
-        shattered = False
-        for subset in combinations(range(n), m):
-            codes = matrix[:, subset] @ weights
-            if len(np.unique(codes)) == (1 << m):
-                shattered = True
-                break
-        if not shattered:
-            break
-        best = m
-    return best

@@ -8,6 +8,9 @@ fast versions, kept as test oracles.
   same ``bincount`` leaf test.
 - ``reference_mixture_sample_many``: mixture draws oracle by oracle, one
   boolean mask and one ``rng.random(m)`` block per chosen oracle.
+- ``reference_oracle_sample_many``: one oracle's batch through its own
+  ``draw_indices`` lookup and ledger entry, as it drew before it went
+  through ``model._draws``.
 - ``reference_distribution_arrays``: the checks of the old
   ``FiniteDistribution`` constructor, ``np.isin`` for the labels and a set
   of numpy scalars for the duplicates; it returns the points, labels and
@@ -16,8 +19,8 @@ fast versions, kept as test oracles.
   an oracle only for integer input.
 
 The fast kernels must give the same indices, the same VC dimension, the
-same draws, ledger and generator state, and the same accept/reject outcome
-and message.
+same draws (dtypes included), ledger and generator state, and the same
+accept/reject outcome and message.
 """
 
 from __future__ import annotations
@@ -107,3 +110,17 @@ def reference_mixture_sample_many(instance: MdlInstance, weights: np.ndarray, co
         labels[mask] = dist.labels[idx]
         ledger.record(i, m)
     return points, labels
+
+
+def reference_oracle_sample_many(instance: MdlInstance, i: int, count: int,
+                                 rng: np.random.Generator,
+                                 ledger: SampleLedger) -> tuple[np.ndarray, np.ndarray]:
+    """`count` ledgered draws from distribution i, as (points, labels) arrays."""
+    if not 0 <= i < instance.k:
+        raise IndexError(f"oracle {i} out of range")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    dist = instance.distributions[i]
+    idx = dist.draw_indices(count, rng)
+    ledger.record(i, count)
+    return dist.points[idx].copy(), dist.labels[idx].copy()

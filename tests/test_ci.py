@@ -1,11 +1,12 @@
 """The CI workflow times out after 30 minutes.  It prints the Python and
 numpy versions and numpy's BLAS, runs the installed `multidist` console
-script's `gen` and `solve` on a tiny instance, runs a short benchmark
-correctness check on every workload, untraced and traced, then the tier-1
-command that ROADMAP.md names, then logs the line count of src/ that
-ROADMAP.md tracks.  Its matrix
-starts at the oldest Python that pyproject.toml declares, and the package
-imports nothing beyond the dependencies pyproject.toml declares."""
+script's `gen` and `solve` on a small instance whose 64 positions share two
+distribution objects (so its file round-trips shared objects), runs a short
+benchmark correctness check on every workload, untraced and traced, then
+the tier-1 command that ROADMAP.md names, then logs the line count of src/
+that ROADMAP.md tracks.  Its matrix starts at the oldest Python that
+pyproject.toml declares, and the package imports nothing beyond the
+dependencies pyproject.toml declares."""
 
 import ast
 import json

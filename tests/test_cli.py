@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multidist import algos, cli, evaluate, model
@@ -199,6 +200,28 @@ class TestSolve:
                        "--out", str(tmp_path / "r.json"))
         assert code == 3
         assert "loss matrix would need" in capsys.readouterr().err
+
+    def test_shared_objects_round_trip_through_a_file(self, tmp_path, capsys):
+        # 1000 positions over 2 objects: the loaded file shares them again,
+        # so its loss table is as cheap as the generated instance's
+        path, out = tmp_path / "inst.json", tmp_path / "r.json"
+        assert run_cli("gen", "--family", "opposed_labels", "--n", "12", "--k", "1000",
+                       "--class-size", "4096", "--seed", "1", "--out", str(path)) == 0
+        assert len(MdlInstance.load(str(path)).distinct) == 2
+        assert run_cli("solve", "--algo", "argmin_stub", "--instance", str(path),
+                       "--no-trace", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["evaluation"]["opt"] >= 0.5
+
+    def test_loss_table_guard_exit_code(self, tmp_path, capsys):
+        # one object at 2500 positions over 4096 rows: few cells, but a
+        # table past the guard
+        cls = HypothesisClass((np.arange(4096)[:, None] >> np.arange(12)) & 1)
+        path = tmp_path / "inst.json"
+        MdlInstance(12, [FiniteDistribution([(x, 1, 1 / 12) for x in range(12)])] * 2500,
+                    cls).save(str(path))
+        assert run_cli("solve", "--algo", "argmin_stub", "--instance", str(path),
+                       "--no-trace", "--out", str(tmp_path / "r.json")) == 3
+        assert "loss matrix would hold 10240000 entries" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         code = run_cli("solve", "--algo", "fast", "--family", "random",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import small_instances
 from multidist import evaluate
+from multidist.algos import RunReport
 from multidist.evaluate import (
     InstanceSpec,
     brute_force_opt,
@@ -140,6 +141,84 @@ class TestLossMatrixReference:
         _assert_bitwise_reference(inst)
         assert sum(n for n, _ in blocks) == 64 and max(n for n, _ in blocks) > 1
         assert all(e <= evaluate._GATHER_ENTRIES or n == 1 for n, e in blocks)
+
+
+class TestSharedObjects:
+    """The loss table and its guard work once per distinct object, and the
+    table they return is bounded too."""
+
+    def test_many_positions_over_two_objects_are_accepted(self):
+        # 1000 positions x 4096 rows x 3 atoms is past the cell guard counted
+        # per position; its 2 distinct objects need 2 x 3 x 4096 cells
+        inst, opt = evaluate.generate_with_opt(InstanceSpec(
+            "opposed_labels", n=12, k=1000, class_size=4096, seed=1))
+        assert len(inst.distinct) == 2
+        assert opt.opt_value >= 0.5
+        _assert_bitwise_reference(inst)
+
+    def test_table_entries_are_bounded_before_it_is_allocated(self, monkeypatch):
+        # one object at 2500 positions: 4096 x 12 cells, but a table of
+        # 2500 x 4096 entries, past the guard
+        cls = HypothesisClass((np.arange(4096)[:, None] >> np.arange(12)) & 1)
+        inst = MdlInstance(12, [FiniteDistribution([(x, 0, 1 / 12) for x in range(12)])]
+                           * 2500, cls)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the table was allocated before the guard")
+
+        monkeypatch.setattr(evaluate.np, "empty", never)
+        with pytest.raises(GuardError, match="loss matrix would hold 10240000 entries"):
+            loss_matrix(inst)
+
+    def test_table_bound_is_inclusive(self, monkeypatch):
+        inst = generate(InstanceSpec("opposed_labels", n=4, k=64, class_size=16, seed=2))
+        entries = inst.k * len(inst.hypothesis_class)
+        monkeypatch.setattr(evaluate, "OPT_CELL_GUARD", entries - 1)
+        with pytest.raises(GuardError, match=f"would hold {entries} entries"):
+            loss_matrix(inst)
+        monkeypatch.setattr(evaluate, "OPT_CELL_GUARD", entries)
+        _assert_bitwise_reference(inst)
+
+    @pytest.mark.parametrize("family", ["random", "realizable", "shared_bayes"])
+    def test_all_distinct_instances_keep_their_guard(self, family, monkeypatch):
+        # with every object distinct the guard counts |H| x the sum of all
+        # supports, as it did per position, and names that count
+        instances = [generate(InstanceSpec(family, n=3 + seed, k=1 + 7 * seed,
+                                           class_size=60, seed=seed)) for seed in range(10)]
+        for inst in instances:
+            assert len(inst.distinct) == inst.k
+            cells = len(inst.hypothesis_class) * sum(
+                d.support_size for d in inst.distributions)
+            monkeypatch.setattr(evaluate, "OPT_CELL_GUARD", cells - 1)
+            with pytest.raises(GuardError, match=f"would need {cells} cell evaluations$"):
+                loss_matrix(inst)
+            monkeypatch.setattr(evaluate, "OPT_CELL_GUARD", cells)
+            _assert_bitwise_reference(inst)
+
+    def test_audit_scores_each_object_once(self, monkeypatch):
+        inst = generate(InstanceSpec("opposed_labels", n=6, k=64, class_size=20, seed=4))
+        h = inst.hypothesis_class.hypotheses[3]
+        want = [exact_loss(d, h) for d in inst.distributions]
+        calls = []
+
+        def counted(d, hyp):
+            calls.append(d)
+            return exact_loss(d, hyp)
+
+        monkeypatch.setattr(evaluate, "exact_loss", counted)
+        assert max_loss(inst, h) == (max(want), int(np.argmax(want)))
+        minority_bound_check(inst, h)
+        report = RunReport("argmin_stub", 0, {}, RandomizedHypothesis(h.labels[None], [1.0]),
+                           [0] * inst.k, 0, [])
+        opt = brute_force_opt(inst)
+        assert evaluate.evaluate_run(inst, report, 0.1, 0.25, opt)["max_loss"] == max(want)
+        assert len(calls) == 3 * len(inst.distinct) == 6
+        # a personalized run's assignments are scored per position
+        calls.clear()
+        evaluate.evaluate_run(inst, RunReport("personalized", 0, {}, None, [0] * inst.k, 0, [],
+                                              assignments=dict.fromkeys(range(inst.k), h)),
+                              0.1, 0.25, opt)
+        assert len(calls) == inst.k
 
 
 class TestMaxLoss:

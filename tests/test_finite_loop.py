@@ -21,7 +21,8 @@ from multidist.model import (
     make_rng,
 )
 from multidist.online import _project_capped, smooth_cap
-from reference_finite import reference_brute_force_vc, reference_erm, reference_finite_loop
+from reference_finite import reference_erm, reference_finite_loop
+from reference_kernels import reference_brute_force_vc
 
 SUITE = range(40)
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import suite_instance
+from multidist.evaluate import InstanceSpec, generate
 from multidist.model import (
     VC_MAX_CLASS,
     VC_MAX_DOMAIN,
@@ -25,6 +26,7 @@ from multidist.model import (
     first_distinct_rows,
     make_rng,
     mixture_sample_many,
+    oracle_sample_many,
 )
 
 from reference_kernels import (
@@ -32,6 +34,7 @@ from reference_kernels import (
     reference_distribution_arrays,
     reference_first_distinct_rows,
     reference_mixture_sample_many,
+    reference_oracle_sample_many,
 )
 
 # byte edges of the packed keys (7, 8, 9), of one 64-bit word (63, 64, 65),
@@ -300,4 +303,25 @@ def test_mixture_draws_match_the_per_oracle_loop(count):
         assert all(np.array_equal(a, b) and a.dtype == b.dtype
                    for a, b in zip(got, want)), f"suite member {s}"
         assert ours_ledger.per_oracle == theirs_ledger.per_oracle
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 5000])
+def test_oracle_draws_match_their_own_lookup(count):
+    # every oracle of each instance in turn, from one generator, so each
+    # batch starts where the last one left the stream; opposed_labels puts
+    # one distribution object at several oracles
+    instances = [suite_instance(s) for s in range(20)] + [
+        generate(InstanceSpec("opposed_labels", n=9, k=5, class_size=16, seed=s))
+        for s in range(3)]
+    for s, inst in enumerate(instances):
+        ours, theirs = make_rng((8402, s)), make_rng((8402, s))
+        ours_ledger, theirs_ledger = SampleLedger(inst.k), SampleLedger(inst.k)
+        for i in range(inst.k):
+            got = oracle_sample_many(inst, i, count, ours, ours_ledger)
+            want = reference_oracle_sample_many(inst, i, count, theirs, theirs_ledger)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(got, want)), f"instance {s}, oracle {i}"
+        assert ours_ledger.per_oracle == theirs_ledger.per_oracle == [count] * inst.k
+        assert ours_ledger.total == theirs_ledger.total
         assert ours.bit_generator.state == theirs.bit_generator.state

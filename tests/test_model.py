@@ -571,6 +571,51 @@ class TestSerialization:
         # so a reloaded instance is held to its own reference
         self._assert_save_bytes(MdlInstance.load(str(path)), tmp_path)
 
+    @pytest.mark.parametrize("case", SAVE_CASES)
+    def test_load_shares_what_the_file_repeats(self, case, tmp_path):
+        # positions with equal distribution texts load as one object, which
+        # changes no saved byte: an instance built with one object per
+        # position saves the same file, and a reload keeps the sharing
+        path = tmp_path / "inst.json"
+        generate(self.SAVE_CASES[case]).save(str(path))
+        raw = json.loads(path.read_text())
+        texts = [json.dumps(d) for d in raw["distributions"]]
+        first = list(dict.fromkeys(texts))
+        loaded = MdlInstance.load(str(path))
+        assert loaded.distinct_index == [first.index(t) for t in texts]
+        assert all(loaded.distributions[i] is loaded.distinct[j]
+                   for i, j in enumerate(loaded.distinct_index))
+        unshared = MdlInstance(loaded.domain_size,
+                               [FiniteDistribution(map(tuple, d)) for d in raw["distributions"]],
+                               loaded.hypothesis_class)
+        assert len(unshared.distinct) == unshared.k
+        again = tmp_path / "again.json"
+        loaded.save(str(path))
+        unshared.save(str(again))
+        assert path.read_bytes() == again.read_bytes()
+        assert len(MdlInstance.load(str(path)).distinct) == len(loaded.distinct)
+
+    def test_load_keeps_negative_zero_apart(self, tmp_path):
+        # 0.0 == -0.0, but the saved text tells them apart
+        path = tmp_path / "inst.json"
+        raw = {"class": {"family": "thresholds"}, "domain_size": 2,
+               "distributions": [[[0, 0, 0.0], [1, 1, 1.0]], [[0, 0, -0.0], [1, 1, 1.0]],
+                                 [[0, 0, 0.0], [1, 1, 1.0]]]}
+        path.write_text(json.dumps(raw, sort_keys=True) + "\n")
+        loaded = MdlInstance.load(str(path))
+        assert loaded.distinct_index == [0, 1, 0]
+        text = path.read_bytes()
+        loaded.save(str(path))
+        assert path.read_bytes() == text
+
+    def test_restrict_keeps_sharing(self):
+        inst = generate(InstanceSpec("opposed_labels", n=6, k=8, class_size=16, seed=1))
+        sub = inst.restrict([5, 0, 6, 1, 0])
+        assert sub.distinct == [inst.distributions[5], inst.distributions[0]]
+        assert sub.distinct_index == [0, 1, 0, 1, 1]
+        assert all(sub.distributions[i] is sub.distinct[j]
+                   for i, j in enumerate(sub.distinct_index))
+
     def test_save_dumps_as_often_at_k2_as_at_k64(self, tmp_path, monkeypatch):
         # the distinct distributions are dumped in one call, not one each
         dumps, calls = json.dumps, []
