@@ -44,10 +44,10 @@ sequence, so the capped adversary's weights can differ in their last bits
 too.  And the mixture is drawn from the capped adversary's weights as they
 are, not divided by their total first.  The learner sees the adversary only
 through its draws, and either difference can move a draw only at a uniform
-within an ulp or so of a CDF edge.  The fast loop keeps its public steps,
-since its cost is the ERM scan.  The object-level loops these replaced are
-kept in ``tests/reference_mid.py`` and ``tests/reference_finite.py``, and
-the tests require identical reports.
+within an ulp or so of a CDF edge.  The fast loop keeps its public steps;
+each player of a fast round draws in one call.  The object-level loops
+these replaced are kept in ``tests/reference_mid.py`` and
+``tests/reference_finite.py``, and the tests require identical reports.
 """
 
 from __future__ import annotations
@@ -265,10 +265,8 @@ def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
         pts, lbs = mixture_sample_many(instance, adversary.w, params.r1, rng, ledger)
         h = erm(hclass, SampleBatch(pts, lbs))
         chosen_ids.append(h.id)
-        payoffs = np.empty(k)
-        for i in range(k):
-            bp, bl = oracle_sample_many(instance, i, params.r2, rng, ledger)
-            payoffs[i] = empirical_loss(h, SampleBatch(bp, bl))
+        payoffs = empirical_loss(h, SampleBatch(*oracle_sample_many(
+            instance, range(k), params.r2, rng, ledger)))
         if record_trace:
             trace.append({"t": t, "adversary": adversary.w.tolist(),
                           "learner_id": h.id, "payoffs": payoffs.tolist()})
@@ -458,9 +456,8 @@ def run_cover_then_finite(instance: MdlInstance, epsilon: float, delta: float,
     _check_queries(k * per_oracle)
     rng = make_rng(seed)
     ledger = SampleLedger(k)
-    points = [oracle_sample_many(instance, i, per_oracle, rng, ledger)[0]
-              for i in range(k)]
-    cover = projection_cover(instance.hypothesis_class, np.concatenate(points))
+    points, _ = oracle_sample_many(instance, range(k), per_oracle, rng, ledger)
+    cover = projection_cover(instance.hypothesis_class, points.ravel())
     trace: list[dict] = []
     mixture, meta = _finite_loop(instance, cover.subclass, epsilon, delta,
                                  rng, ledger, cons["C"], record_trace, trace)
@@ -684,10 +681,8 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
         h_t = inner.hypothesis
         last_hypothesis = h_t
         eval_rng = make_rng(derive_seed(seed, t, 1))
-        losses = []
-        for global_i in active:
-            bp, bl = oracle_sample_many(instance, global_i, m_eval, eval_rng, ledger)
-            losses.append(empirical_loss(h_t, SampleBatch(bp, bl)))
+        losses = empirical_loss(h_t, SampleBatch(*oracle_sample_many(
+            instance, active, m_eval, eval_rng, ledger)))
         survivors = median_filter(losses)
         survivor_set = set(survivors)
         removed = [g for j, g in enumerate(active) if j not in survivor_set]
@@ -695,7 +690,7 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
             assignments[g] = h_t
         if record_trace:
             trace.append({"round": t, "active": list(active),
-                          "losses": [float(x) for x in losses],
+                          "losses": losses.tolist(),
                           "removed": removed})
         inner_meta.append({"round": t, "active_size": len(active),
                            "mid_total": inner.ledger_total,

@@ -43,10 +43,12 @@ class CoverResult:
 
 
 def _checked_batch(batch: SampleBatch, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's (points, labels), checked: nonempty, points in 0..n-1, labels 0/1."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
+    """The batch's (points, labels), checked: one shape, nonempty, points in 0..n-1, labels 0/1."""
     points, labels = np.asarray(batch.points), np.asarray(batch.labels)
+    if points.shape != labels.shape:
+        raise ValueError(f"batch points of shape {points.shape}, labels of shape {labels.shape}")
+    if points.size == 0:
+        raise ValueError("empty batch")
     if points.min() < 0 or points.max() >= n:
         raise IndexError("batch point outside the class domain")
     if labels.min() < 0 or labels.max() > 1:
@@ -54,12 +56,13 @@ def _checked_batch(batch: SampleBatch, n: int) -> tuple[np.ndarray, np.ndarray]:
     return points, labels
 
 
-def empirical_loss(h: Hypothesis | RandomizedHypothesis, batch: SampleBatch) -> float:
-    """Mean 0-1 loss over the batch (expected loss for mixtures)."""
+def empirical_loss(h: Hypothesis | RandomizedHypothesis, batch: SampleBatch) -> float | np.ndarray:
+    """Mean 0-1 loss over the batch (expected loss for mixtures); for a 2-D
+    batch, one mean per row, with the bits of that row's 1-D call."""
     pm = h.prediction_mean()
     points, labels = _checked_batch(batch, len(pm))
-    per = np.where(labels == 1, 1.0 - pm[points], pm[points])
-    return float(per.mean())
+    means = np.where(labels == 1, 1.0 - pm[points], pm[points]).mean(axis=-1)
+    return float(means) if means.ndim == 0 else means
 
 
 def erm(hclass: HypothesisClass, batch: SampleBatch) -> Hypothesis:

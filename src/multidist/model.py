@@ -17,14 +17,14 @@ object; ``save``, ``load`` and ``evaluate`` work once per distinct object.
 The public oracles validate their arguments, then draw through one private
 path, ``_draws``: it looks up a batch of atoms from given oracles at given
 uniforms, one lookup per oracle, and ledgers each oracle's count at once.
-The scalar oracles hand it one-element arrays, after ``_mixture_index`` for
-the mixture.  Every draw is one double of the stream
-(``rng.random(m)`` gives the doubles of m scalar ``rng.random()`` calls), so
-a loop may draw its uniforms in blocks.  The dynamics loop calls
-``_mixture_index`` every round (the oracle ``rng.choice(k, p=p)`` would draw,
-from the same generator state), looks atoms up directly with
-``FiniteDistribution.atom_index``, the one inverse-CDF lookup of every draw,
-and ledgers a block of rounds' draws at once.
+``oracle_sample_many`` takes one index or a sequence (a row of draws each);
+the scalar ones hand ``_draws`` one-element arrays, after ``_mixture_index``
+for the mixture.  Every draw is one double of the stream (``rng.random(m)``
+gives the doubles of m scalar ``rng.random()`` calls), so a loop may draw
+its uniforms in blocks.  The dynamics loop calls ``_mixture_index`` every
+round (the oracle ``rng.choice(k, p=p)`` would draw), looks atoms up with
+``FiniteDistribution.atom_index``, the one inverse-CDF lookup of every
+draw, and ledgers a block of rounds' draws at once.
 
 The exact VC search works from both ends.  Bottom up, a subset scan tries
 the levels m = 1, 2, ... over the subsets in ``itertools.combinations``
@@ -521,15 +521,19 @@ def oracle_sample(instance: MdlInstance, i: int, rng: np.random.Generator,
     return LabeledExample(int(points[0]), int(labels[0]))
 
 
-def oracle_sample_many(instance: MdlInstance, i: int, count: int,
+def oracle_sample_many(instance: MdlInstance, i: int | Sequence[int], count: int,
                        rng: np.random.Generator,
                        ledger: SampleLedger) -> tuple[np.ndarray, np.ndarray]:
-    """`count` ledgered draws from distribution i, as (points, labels) arrays."""
-    if not 0 <= i < instance.k:
-        raise IndexError(f"oracle {i} out of range")
+    """`count` ledgered draws from distribution i, as (points, labels) arrays;
+    for a sequence i, a row per index, drawn as the one-index calls in turn."""
+    oracles = _integers(np.asarray(i), "oracle indices")
+    bad = oracles[(oracles < 0) | (oracles >= instance.k)]
+    if bad.size:
+        raise IndexError(f"oracle {bad[0]} out of range")
     if count < 0:
         raise ValueError("count must be >= 0")
-    return _draws(instance, np.full(count, i), rng.random(count), ledger)
+    draws = _draws(instance, np.repeat(oracles, count), rng.random(oracles.size * count), ledger)
+    return tuple(a.reshape(*oracles.shape, count) for a in draws)
 
 
 def _check_mixture(weights: np.ndarray, k: int) -> np.ndarray:

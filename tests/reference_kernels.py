@@ -11,6 +11,13 @@ fast versions, kept as test oracles.
 - ``reference_oracle_sample_many``: one oracle's batch through its own
   ``draw_indices`` lookup and ledger entry, as it drew before it went
   through ``model._draws``.
+- ``reference_oracle_rows`` and ``reference_row_losses``: the
+  per-distribution loops ``algos.run_fast``, ``run_cover_then_finite`` and
+  ``run_personalized`` ran before one ``oracle_sample_many`` call drew a
+  row per distribution and one ``empirical_loss`` call scored every row:
+  a one-index batch per listed distribution, written into the row it
+  owns, and one 1-D ``empirical_loss`` call per row.  Patched into
+  ``multidist.algos`` in place of those two calls, they give the old runs.
 - ``reference_distribution_arrays``: the checks of the old
   ``FiniteDistribution`` constructor, ``np.isin`` for the labels and a set
   of numpy scalars for the duplicates; it returns the points, labels and
@@ -26,16 +33,19 @@ accept/reject outcome and message.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from multidist.cover import SampleBatch, empirical_loss
 from multidist.model import (
     VC_MAX_CLASS,
     VC_MAX_DOMAIN,
     GuardError,
+    Hypothesis,
     HypothesisClass,
     MdlInstance,
+    RandomizedHypothesis,
     SampleLedger,
     _check_mixture,
 )
@@ -124,3 +134,25 @@ def reference_oracle_sample_many(instance: MdlInstance, i: int, count: int,
     idx = dist.draw_indices(count, rng)
     ledger.record(i, count)
     return dist.points[idx].copy(), dist.labels[idx].copy()
+
+
+def reference_oracle_rows(instance: MdlInstance, indices: Sequence[int], count: int,
+                          rng: np.random.Generator,
+                          ledger: SampleLedger) -> tuple[np.ndarray, np.ndarray]:
+    """`count` ledgered draws from each listed distribution, one row each,
+    by one one-index batch per distribution in list order."""
+    points = np.empty((len(indices), count), dtype=np.int64)
+    labels = np.empty((len(indices), count), dtype=np.int64)
+    for row, i in enumerate(indices):
+        points[row], labels[row] = reference_oracle_sample_many(instance, i, count,
+                                                                rng, ledger)
+    return points, labels
+
+
+def reference_row_losses(h: Hypothesis | RandomizedHypothesis,
+                         batch: SampleBatch) -> np.ndarray:
+    """The empirical loss of each row of a 2-D batch, one 1-D call per row."""
+    losses = np.empty(len(batch.points))
+    for row, (points, labels) in enumerate(zip(batch.points, batch.labels)):
+        losses[row] = empirical_loss(h, SampleBatch(points, labels))
+    return losses

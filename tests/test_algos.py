@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import suite_instance
+from multidist import algos
 from multidist.algos import (
     QUERY_GUARD,
     _finite_schedule,
@@ -37,6 +38,7 @@ from multidist.model import (
     exact_loss,
     make_rng,
 )
+from reference_kernels import reference_oracle_rows, reference_row_losses
 
 
 class TestFastParams:
@@ -339,3 +341,30 @@ class TestRunPersonalized:
         a = run_personalized(inst, 0.3, 0.3, seed=4).to_dict()
         b = run_personalized(inst, 0.3, 0.3, seed=4).to_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# fast draws a payoff row per distribution each round, cover_finite a row of
+# witness points per distribution, personalized an evaluation row per active
+# distribution each round; with the per-distribution loops patched back in
+# for those calls, every report must keep its bytes, trace included
+_BATCHED_RUNS = {
+    "fast": lambda inst, seed: run_fast(inst, 0.3, 0.3, 0.3, seed),
+    "cover_finite": lambda inst, seed: run_cover_then_finite(inst, 0.3, 0.3, seed),
+    "personalized": lambda inst, seed: run_personalized(inst, 0.3, 0.3, seed),
+}
+
+
+@pytest.mark.parametrize("algo", _BATCHED_RUNS)
+def test_batched_draws_match_the_per_distribution_loops(algo, monkeypatch):
+    # the suite, and an opposed_labels instance whose 64 positions share
+    # two distribution objects
+    instances = [suite_instance(s, kmax=8) for s in range(40)] + [
+        generate(InstanceSpec("opposed_labels", n=6, k=64, class_size=16, seed=1))]
+    run = _BATCHED_RUNS[algo]
+    ours = [json.dumps(run(inst, derive_seed(88, s)).to_dict(), sort_keys=True)
+            for s, inst in enumerate(instances)]
+    monkeypatch.setattr(algos, "oracle_sample_many", reference_oracle_rows)
+    monkeypatch.setattr(algos, "empirical_loss", reference_row_losses)
+    for s, inst in enumerate(instances):
+        want = json.dumps(run(inst, derive_seed(88, s)).to_dict(), sort_keys=True)
+        assert ours[s] == want, f"instance {s}"

@@ -65,7 +65,8 @@ def test_workflow_runs_the_console_script_before_tier1():
     lines = runs[script[0]].splitlines()
     assert [line.split()[:2] for line in lines] == [["multidist", "gen"],
                                                     ["multidist", "solve"]]
-    assert "--no-trace" in lines[1].split()
+    # the solve line also writes the one-row CSV, so the script runs that writer
+    assert "--no-trace" in lines[1].split() and "--csv" in lines[1].split()
 
 
 def test_workflow_prints_the_versions_before_the_benchmark_smoke():

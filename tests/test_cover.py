@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,25 @@ class TestBatchCheck:
         # before, the label 2 cost a hypothesis 1.0 and its mixture 0.0
         with pytest.raises(ValueError, match=r"batch labels must be in \{0, 1\}"):
             _SCORERS[scorer](_batch([(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("points, labels", [
+        # before, these broadcast: the first scored 3 points against one label
+        ([0, 1, 1], [1]), ([[0, 1], [1, 0]], [1, 0]),
+        # and these failed with numpy's broadcast error
+        ([0, 1, 1], [1, 0]), ([[0, 1]], [[1], [0]]), ([], [1])])
+    def test_unequal_shapes(self, scorer, points, labels):
+        batch = SampleBatch(np.array(points), np.array(labels))
+        message = (f"batch points of shape {np.shape(points)}, "
+                   f"labels of shape {np.shape(labels)}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _SCORERS[scorer](batch)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
+    def test_empty_batch_of_any_shape(self, scorer, shape):
+        # a (3, 0) batch has three rows but nothing to score
+        batch = SampleBatch(np.zeros(shape, np.int64), np.zeros(shape, np.int64))
+        with pytest.raises(ValueError, match="^empty batch$"):
+            _SCORERS[scorer](batch)
 
 
 def _erm_oracle(hclass, batch):

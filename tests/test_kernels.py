@@ -1,7 +1,7 @@
 """Differential tests: the exact kernels of ``multidist.model`` (packed-key
 row dedupe, the VC search by prefix-code scan and by missing-code closure,
-batched mixture draws, array checks of a distribution) against the versions
-kept in ``reference_kernels.py``."""
+batched mixture and oracle draws, array checks of a distribution) against
+the versions kept in ``reference_kernels.py``."""
 
 import tracemalloc
 from math import comb
@@ -34,6 +34,7 @@ from reference_kernels import (
     reference_distribution_arrays,
     reference_first_distinct_rows,
     reference_mixture_sample_many,
+    reference_oracle_rows,
     reference_oracle_sample_many,
 )
 
@@ -323,5 +324,29 @@ def test_oracle_draws_match_their_own_lookup(count):
             assert all(np.array_equal(a, b) and a.dtype == b.dtype
                        for a, b in zip(got, want)), f"instance {s}, oracle {i}"
         assert ours_ledger.per_oracle == theirs_ledger.per_oracle == [count] * inst.k
+        assert ours_ledger.total == theirs_ledger.total
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 5000])
+def test_oracle_rows_match_the_stacked_one_index_calls(count):
+    # every index list draws from one generator in turn, so each call starts
+    # where the last one left the stream; a twin generator runs the
+    # one-index batches, one per listed distribution, stacked as rows
+    instances = [suite_instance(s) for s in range(20)] + [
+        generate(InstanceSpec("opposed_labels", n=9, k=5, class_size=16, seed=s))
+        for s in range(3)]
+    for s, inst in enumerate(instances):
+        last = inst.k - 1
+        lists = [range(inst.k), [min(2, last), 0, min(2, last)], [], [last]]
+        ours, theirs = make_rng((8403, s)), make_rng((8403, s))
+        ours_ledger, theirs_ledger = SampleLedger(inst.k), SampleLedger(inst.k)
+        for indices in lists:
+            got = oracle_sample_many(inst, indices, count, ours, ours_ledger)
+            want = reference_oracle_rows(inst, indices, count, theirs, theirs_ledger)
+            assert all(a.shape == b.shape == (len(indices), count)
+                       and a.dtype == b.dtype and np.array_equal(a, b)
+                       for a, b in zip(got, want)), f"instance {s}, oracles {indices}"
+        assert ours_ledger.per_oracle == theirs_ledger.per_oracle
         assert ours_ledger.total == theirs_ledger.total
         assert ours.bit_generator.state == theirs.bit_generator.state

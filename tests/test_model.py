@@ -229,6 +229,49 @@ class TestOracleSample:
         with pytest.raises(IndexError):
             oracle_sample(inst, 1, make_rng(0), SampleLedger(1))
 
+    @staticmethod
+    def _three_oracles() -> MdlInstance:
+        return _instance([FiniteDistribution([(0, 0, 0.5), (j, 1, 0.5)]) for j in (1, 2, 3)])
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (1.5, ValueError, "oracle indices must be integers"),
+        (-1, IndexError, "oracle -1 out of range"),
+        (3, IndexError, "oracle 3 out of range"),
+        (7.0, IndexError, "oracle 7 out of range"),
+    ])
+    @pytest.mark.parametrize("prefix", [None, [], [2], [0, 1]])
+    def test_bad_index_moves_neither_generator_nor_ledger(self, bad, error, message, prefix):
+        # alone, or after valid indices in a sequence: every index is
+        # checked before the first draw
+        inst = self._three_oracles()
+        rng, ledger = make_rng(3), SampleLedger(3)
+        before = rng.bit_generator.state
+        i = bad if prefix is None else [*prefix, bad]
+        with pytest.raises(error, match=message):
+            oracle_sample_many(inst, i, 5, rng, ledger)
+        assert rng.bit_generator.state == before
+        assert ledger.per_oracle == [0, 0, 0] and ledger.total == 0
+
+    def test_integral_float_index_counts_as_its_integer(self):
+        inst = self._three_oracles()
+        for two in (2.0, np.float64(2.0), [2.0], np.array([2.0, 0.0])):
+            rows, ints = make_rng(4), make_rng(4)
+            ledger_rows, ledger_ints = SampleLedger(3), SampleLedger(3)
+            got = oracle_sample_many(inst, two, 6, rows, ledger_rows)
+            want = oracle_sample_many(inst, np.asarray(two).astype(int), 6, ints, ledger_ints)
+            assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, want))
+            assert ledger_rows.per_oracle == ledger_ints.per_oracle
+            assert rows.bit_generator.state == ints.bit_generator.state
+
+    def test_sequence_gives_a_row_per_index(self):
+        inst = self._three_oracles()
+        ledger = SampleLedger(3)
+        points, labels = oracle_sample_many(inst, [2, 0, 2], 4, make_rng(5), ledger)
+        assert points.shape == labels.shape == (3, 4)
+        assert set(points[0][labels[0] == 1].tolist()) <= {3}
+        assert set(points[1][labels[1] == 1].tolist()) <= {1}
+        assert ledger.per_oracle == [4, 0, 8] and ledger.total == 12
+
 
 class TestMixtureSample:
     def test_point_mass_hits_single_oracle(self):

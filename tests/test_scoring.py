@@ -69,3 +69,33 @@ def test_a_hypothesis_scores_as_its_one_atom_mixture():
         assert exact_loss(dist, h) == exact_loss(dist, mix)
         assert empirical_loss(h, batch) == empirical_loss(mix, batch)
         assert h.expected_loss(z) == mix.expected_loss(z)
+
+
+def _row_mixture(rng, n):
+    """A mixture over random label rows, some weights zero and some subnormal."""
+    rows = int(rng.integers(1, 6))
+    weights = rng.random(rows)
+    weights[rng.random(rows) < 0.3] = 0.0
+    weights[rng.random(rows) < 0.3] = 5e-324 * float(rng.integers(1, 1000))
+    weights[int(rng.integers(rows))] = 1.0
+    labels = rng.integers(0, 2, size=(rows, n)).astype(np.uint8)
+    return RandomizedHypothesis(labels, weights / weights.sum())
+
+
+def test_row_losses_match_the_one_dimensional_calls():
+    # each row of a 2-D batch is scored with the bits of its own 1-D call,
+    # and a hypothesis's 1-D call with the bits of the reference formula
+    rng = make_rng(derive_seed(1010, 4))
+    for _ in range(1_000):
+        h, _, _, _ = _random_case(rng)
+        n = len(h.labels)
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 300)))
+        batch = SampleBatch(rng.integers(0, n, size=shape), rng.integers(0, 2, size=shape))
+        rows = [SampleBatch(p, y) for p, y in zip(batch.points, batch.labels)]
+        for scored in (h, _row_mixture(rng, n)):
+            got = empirical_loss(scored, batch)
+            assert got.shape == (shape[0],) and got.dtype == np.float64
+            want = [empirical_loss(scored, row) for row in rows]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+        assert [x.hex() for x in empirical_loss(h, batch).tolist()] == [
+            reference_empirical_loss(h, row).hex() for row in rows]
