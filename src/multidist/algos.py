@@ -27,32 +27,35 @@ error a later round raises, so the first failing round raises the error it
 raised alone.  Learning rates are constant, so they are checked once,
 before the loop.
 
-Per run, the loop computes each drawn (point, label)'s cost and Hedge
-factor rows once, and scales and normalizes the learner in place, in its
-row of the check stack (the stack's row views are made once, as a list);
-the learner's mean rides that stack too, summed once per stack in row
-order.  It takes its randomness in blocks of ``_PAIR_BLOCK`` rounds, one
-double of the stream per draw (``rng.random((count, width))``, so a block
-boundary does not move the stream): each round's mixture oracle and atom, then the adversary's own
-query, if it has one; and it ledgers each block's per-oracle counts at
-once.  The mid adversary scores the learner at its point with one dot
-product of the learner's weights and the labels there.  All of these give
-the bits the public steps give, but two.  That estimate's last bits can
-differ from those of ``mid_adversary_estimate`` on a
-``RandomizedHypothesis``, which renormalizes the weights and adds them up in
-sequence, so the capped adversary's weights can differ in their last bits
-too.  And the mixture is drawn from the capped adversary's weights as they
-are, not divided by their total first.  The learner sees the adversary only
-through its draws, and either difference can move a draw only at a uniform
-within an ulp or so of a CDF edge.  The fast loop keeps its public steps;
-each player of a fast round draws in one call.  The object-level loops
-these replaced are kept in ``tests/reference_mid.py`` and
+Per run, the loop finds a round's atom by bisecting the instance's packed
+CDF list within that distribution's atoms, computes the cost and Hedge
+factor rows of each drawn (point, label) once, in the slot of its first
+atom in the table, and scales and normalizes the learner in place, in its
+row of the check stack (row views made once); the learner's mean rides
+that stack too, summed once per stack in row order.  It takes its
+randomness in blocks of ``_PAIR_BLOCK`` rounds, one double of the stream
+per draw (``rng.random((count, width))``, so a block boundary does not move
+the stream): each round's mixture oracle and atom, then the adversary's
+own query, if any; and it ledgers each block's counts at once.  The mid
+adversary scores the learner at its point with one ``ndarray.dot``
+(matmul's BLAS bits without its gufunc overhead) of the learner and the
+labels there.  All of these give the bits the public steps give, but two.
+That estimate's last bits can differ from those of ``mid_adversary_estimate``
+on a ``RandomizedHypothesis``, which renormalizes the weights and adds them
+up in sequence, so the capped adversary's weights can differ in their last
+bits too.  And the mixture is drawn from the capped adversary's weights as
+they are, not divided by their total first.  The learner sees the adversary
+only through its draws, and either difference can move a draw only at a
+uniform within an ulp or so of a CDF edge.  The fast loop keeps its public
+steps; each player of a fast round draws in one call.  The object-level
+loops these replaced are kept in ``tests/reference_mid.py`` and
 ``tests/reference_finite.py``, and the tests require identical reports.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -302,13 +305,10 @@ def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
     and its feedback there."""
     _check_eta(eta)
     k = instance.k
-    # The costs of a drawn (point, label) and their Hedge factors are the
-    # same every time it is drawn, so each is computed once; keys[i][a] is
-    # distribution i's atom a.  Only drawn atoms get rows, which bounds the
-    # memory by the support, not by the domain.
-    rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    dists = instance.distributions
-    keys = [list(zip(d.points.tolist(), d.labels.tolist())) for d in dists]
+    table = instance.atom_table()
+    cdf, bounds, points, labels = table.cdf, table.bounds, table.points, table.labels
+    _, first, pair = np.unique(2 * points + labels, return_index=True, return_inverse=True)
+    slots, rows = first[pair].tolist(), [None] * len(pair)
     check_rows = max(1, min(_CHECK_ROWS, _CHECK_ENTRIES // len(matrix)))
     # The learner's check stack also carries its mean: row 0 holds the sum
     # of the learners of the rounds before the stack, row 1 the learner its
@@ -332,11 +332,10 @@ def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
                                         u[:, 1].tolist(), queries):
                 i = _mixture_index(adversary.w, u1)
                 counts[i] += 1
-                atom = keys[i][dists[i].atom_index(u2)]
-                entry = rows.get(atom)
-                if entry is None:
-                    costs = (matrix[:, atom[0]] != atom[1]).astype(np.float64)
-                    entry = rows[atom] = costs, np.exp(-eta * costs)
+                slot = slots[bisect_right(cdf, u2, *bounds[i])]
+                if (entry := rows[slot]) is None:
+                    costs = (matrix[:, points[slot]] != labels[slot]).astype(np.float64)
+                    entry = rows[slot] = costs, np.exp(-eta * costs)
                 costs, factors = entry
                 chosen, value = feedback(learner, costs, i, query)
                 if record_trace:
@@ -354,8 +353,7 @@ def _hedge_loop(instance: MdlInstance, matrix: np.ndarray, T: int, eta: float,
                     stack[0] = np.add.reduce(stack[:-1], axis=0)
                     stack[1] = learner
                     learner = stack[1]
-            for i, n in enumerate(counts):
-                ledger.record(i, n)
+            ledger.record_counts(counts)
     finally:  # the last rounds, or those before the round that raised
         _check_simplex_rows(learner_stack[:pending], adversary_rows[:pending], cap=cap)
     return np.add.reduce(stack[:pending + 1], axis=0) / T
@@ -395,7 +393,7 @@ class _Exp3:
                  query: None) -> tuple[int, float]:
         # Rounding can put the mixture's loss an ulp above 1, which would
         # hand Exp3 a negative cost.
-        loss = min(1.0, float(learner @ costs))
+        loss = min(1.0, float(learner.dot(costs)))
         if not 0.0 <= 1.0 - loss <= 1.0:
             raise ValueError("observed cost must be in [0, 1]")
         return i, loss
@@ -528,21 +526,16 @@ class _CappedHedge:
     `cap`), fed a one-sample estimate at its own uniform oracle.
 
     That query does not depend on the game, so a block's queries are drawn
-    at once, one batch per oracle: the oracle is floor(u * k) of the third
-    uniform (always below k, since ``random()`` never exceeds 1 - 2^-53, and
-    within k * 2^-53 of uniform), the atom is at the fourth.  The estimate
-    reads the learner's labels at the drawn point as a row of the transposed
-    class matrix; ``__init__`` makes those rows a list of views and the
-    estimator's test a bool, so a round makes no view of its own.  The
-    estimate is one-hot, so the Hedge step scales the chosen weight alone
-    before the capped projection.
-
-    The learner's probability of label 1 at the drawn point is one dot
-    product of the learner, as the loop holds it, with that row; a zero
-    weight adds nothing to it.  Its last bits can differ from those
-    :func:`mid_adversary_estimate` gives on a :class:`RandomizedHypothesis`
-    of the same weights, which renormalizes them and adds the terms up in
-    sequence.
+    in one ``_draws`` call: the oracle is floor(u * k) of the third uniform
+    (always below k, since ``random()`` never exceeds 1 - 2^-53, and within
+    k * 2^-53 of uniform), the atom is at the fourth.  The estimate reads
+    the learner's labels at the drawn point as a row of the transposed class
+    matrix; ``__init__`` makes those rows a list of views and the estimator's
+    test a bool, so a round makes no view of its own.  The learner's
+    probability of label 1 there is one ``ndarray.dot`` of the learner, as
+    the loop holds it, with that row (a zero weight adds nothing; for its
+    last bits see the module docstring).  The estimate is one-hot, so the
+    Hedge step scales the chosen weight alone before the capped projection.
     """
 
     width, trace_key = 4, "estimate"
@@ -563,7 +556,7 @@ class _CappedHedge:
     def feedback(self, learner: np.ndarray, costs: np.ndarray, i: int,
                  query: tuple[int, int, int]) -> tuple[int, float]:
         chosen, x, y = query
-        p1 = float(learner @ self.labels_at[x])
+        p1 = float(learner.dot(self.labels_at[x]))
         weight = float(self.w[chosen]) if self.literal else 1.0
         value = _estimate_value(_label_loss(p1, y), self.k, weight, self.estimator)
         if not -SUM_TOL <= value <= self.k + SUM_TOL:

@@ -15,16 +15,15 @@ An ``MdlInstance`` owns the record of which positions share a distribution
 object; ``save``, ``load`` and ``evaluate`` work once per distinct object.
 
 The public oracles validate their arguments, then draw through one private
-path, ``_draws``: it looks up a batch of atoms from given oracles at given
-uniforms, one lookup per oracle, and ledgers each oracle's count at once.
-``oracle_sample_many`` takes one index or a sequence (a row of draws each);
-the scalar ones hand ``_draws`` one-element arrays, after ``_mixture_index``
-for the mixture.  Every draw is one double of the stream (``rng.random(m)``
-gives the doubles of m scalar ``rng.random()`` calls), so a loop may draw
-its uniforms in blocks.  The dynamics loop calls ``_mixture_index`` every
-round (the oracle ``rng.choice(k, p=p)`` would draw), looks atoms up with
-``FiniteDistribution.atom_index``, the one inverse-CDF lookup of every
-draw, and ledgers a block of rounds' draws at once.
+path, ``_draws``: one search of the instance's ``_AtomTable`` (its distinct
+objects' atoms, packed at the first draw) finds a batch of atoms from any
+oracles, and one ``bincount`` ledgers them.  ``oracle_sample_many`` takes
+one index or a sequence (a row each); the scalar oracles hand ``_draws``
+one-element arrays.  Every draw is one double (``rng.random(m)`` gives the
+doubles of m ``rng.random()`` calls), so a loop may draw uniforms in
+blocks.  The dynamics loop calls ``_mixture_index`` every round (the index
+``rng.choice(k, p=p)`` would draw), bisects the table's CDF list within
+that distribution's atoms, and ledgers a block at once.
 
 The exact VC search works from both ends.  Bottom up, a subset scan tries
 the levels m = 1, 2, ... over the subsets in ``itertools.combinations``
@@ -49,6 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,7 +145,7 @@ class FiniteDistribution:
     (1.0) counts as its integer, any other value is rejected, not rounded.
     """
 
-    __slots__ = ("points", "labels", "probs", "_cdf", "_cdf_list")
+    __slots__ = ("points", "labels", "probs", "_cdf")
 
     def __init__(self, mass: Iterable[tuple[int, int, float]]):
         atoms = list(mass)
@@ -169,7 +169,6 @@ class FiniteDistribution:
         # index would give, without the clamp.
         self._cdf = np.add.accumulate(self.probs)
         self._cdf[-1] = np.inf
-        self._cdf_list = self._cdf.tolist()
 
     @property
     def support_size(self) -> int:
@@ -183,12 +182,9 @@ class FiniteDistribution:
 
     def atom_index(self, u: float | np.ndarray):
         """Inverse-CDF index of the atom at the uniform u in [0, 1), or the
-        indices at an array of uniforms; every draw looks atoms up here.
-        A float is bisected in a list copy of the CDF: ``bisect_right`` finds
-        the index ``searchsorted(side="right")`` does, without an array call."""
-        if isinstance(u, float):
-            return bisect_right(self._cdf_list, u)
-        return self._cdf.searchsorted(u, side="right")
+        indices at an array of uniforms: the atoms the oracles draw there."""
+        idx = self._cdf.searchsorted(u, side="right")
+        return int(idx) if isinstance(u, float) else idx
 
     def draw_indices(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF indices of `count` i.i.d. atoms (no ledger here)."""
@@ -376,13 +372,36 @@ class SampleLedger:
         self.per_oracle[oracle] += count
         self.total += count
 
+    def record_counts(self, counts: list[int]) -> None:
+        """Add nonnegative counts to the first len(counts) oracles' counters."""
+        self.per_oracle[:len(counts)] = map(add, self.per_oracle, counts)
+        self.total += sum(counts)
+
+
+class _AtomTable:
+    """The ``distinct`` objects' atoms in turn: points, labels, keys object +
+    1j * CDF edge (ascending, as numpy orders complex numbers by real part
+    first), the edges as a list, and each position's object and bounds."""
+
+    def __init__(self, instance: "MdlInstance"):
+        dists, sizes = instance.distinct, [d.support_size for d in instance.distinct]
+        self.points = np.concatenate([d.points for d in dists])
+        self.labels = np.concatenate([d.labels for d in dists])
+        self.keys = np.empty(len(self.points), dtype=np.complex128)  # by part: 1j * inf has a NaN
+        self.keys.real = np.repeat(np.arange(len(dists)), sizes)
+        self.keys.imag = np.concatenate([d._cdf for d in dists])
+        self.cdf, self.objects = self.keys.imag.tolist(), np.array(instance.distinct_index, float)
+        ends = np.add.accumulate(sizes).tolist()
+        self.bounds = [(ends[j] - sizes[j], ends[j]) for j in instance.distinct_index]
+
 
 class MdlInstance:
     """k finite-support distributions plus an explicit hypothesis class;
     ``distinct`` lists the distinct distribution objects, first seen first,
     and ``distinct_index[i]`` is position i's index into it."""
 
-    __slots__ = ("domain_size", "distributions", "hypothesis_class", "distinct", "distinct_index")
+    __slots__ = ("domain_size", "distributions", "hypothesis_class", "distinct",
+                 "distinct_index", "_table")
 
     def __init__(self, domain_size: int, distributions: Sequence[FiniteDistribution],
                  hypothesis_class: HypothesisClass):
@@ -401,10 +420,17 @@ class MdlInstance:
         self.domain_size = domain_size
         self.distributions = list(distributions)
         self.hypothesis_class = hypothesis_class
+        self._table = None
 
     @property
     def k(self) -> int:
         return len(self.distributions)
+
+    def atom_table(self) -> _AtomTable:
+        """The packed atoms every draw looks up, built at the first call."""
+        if self._table is None:
+            self._table = _AtomTable(self)
+        return self._table
 
     def by_position(self, rows: np.ndarray) -> np.ndarray:
         """Rows per distinct object as rows per position (`rows` itself if all are distinct)."""
@@ -430,7 +456,7 @@ class MdlInstance:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MdlInstance":
-        n = int(obj["domain_size"])
+        n = int(_integers(np.asarray(obj["domain_size"]), "domain_size"))
         # positions whose atom lists read alike (-0.0 apart) share one object
         keys = [repr(d) for d in obj["distributions"]]
         built = {key: FiniteDistribution([(x, y, p) for x, y, p in d])
@@ -501,17 +527,13 @@ def _draws(instance: MdlInstance, oracles: np.ndarray, u: np.ndarray,
            ledger: SampleLedger) -> tuple[np.ndarray, np.ndarray]:
     """Ledgered draws, the j-th from distribution ``oracles[j]`` at the
     uniform ``u[j]``, as (points, labels) arrays; the oracles unchecked.
-    Each oracle's atoms are looked up in one batch and ledgered at once."""
-    points = np.empty(len(u), dtype=np.int64)
-    labels = np.empty(len(u), dtype=np.int64)
-    for i in np.flatnonzero(np.bincount(oracles)).tolist():
-        rows = np.flatnonzero(oracles == i)
-        dist = instance.distributions[i]
-        idx = dist.atom_index(u[rows])
-        points[rows] = dist.points[idx]
-        labels[rows] = dist.labels[idx]
-        ledger.record(i, len(rows))
-    return points, labels
+    The key (object, u) sorts just below the object's first edge above u."""
+    table = instance.atom_table()
+    keys = np.empty(len(u), dtype=np.complex128)
+    keys.real, keys.imag = table.objects[oracles], u
+    idx = table.keys.searchsorted(keys, side="right")
+    ledger.record_counts(np.bincount(oracles).tolist())
+    return table.points[idx], table.labels[idx]
 
 
 def oracle_sample(instance: MdlInstance, i: int, rng: np.random.Generator,
@@ -556,7 +578,7 @@ def mixture_sample(instance: MdlInstance, weights: Sequence[float],
 def mixture_sample_many(instance: MdlInstance, weights: Sequence[float], count: int,
                         rng: np.random.Generator,
                         ledger: SampleLedger) -> tuple[np.ndarray, np.ndarray]:
-    """`count` mixture draws, vectorized per chosen oracle; `count` increments."""
+    """`count` mixture draws, in one table search; `count` increments."""
     w = _check_mixture(np.asarray(weights), instance.k)
     if count < 0:
         raise ValueError("count must be >= 0")

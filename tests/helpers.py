@@ -14,6 +14,13 @@ from multidist.model import (
 )
 
 
+def assert_same(ours: str, theirs: str, label: str = "") -> None:
+    """Assert that two (long) texts are equal through a plain bool, so a
+    failing case reports its label in seconds; pytest would diff the texts."""
+    same = ours == theirs
+    assert same, label
+
+
 def suite_instance(s: int, kmax: int = 6) -> MdlInstance:
     """Deterministic member s of the standard random suite (n<=10, |H|<=40)."""
     n = 4 + (s % 7)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import suite_instance
+from helpers import assert_same, suite_instance
 from multidist import algos
 from multidist.algos import (
     QUERY_GUARD,
@@ -102,7 +102,7 @@ class TestRunFast:
         inst = suite_instance(4)
         a = run_fast(inst, 0.3, 0.3, 0.2, seed=9).to_dict()
         b = run_fast(inst, 0.3, 0.3, 0.2, seed=9).to_dict()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert_same(json.dumps(a, sort_keys=True), json.dumps(b, sort_keys=True))
 
 
 class TestRunFinite:
@@ -268,7 +268,7 @@ class TestRunMid:
         inst = suite_instance(6)
         a = run_mid(inst, 0.35, 0.3, seed=17).to_dict()
         b = run_mid(inst, 0.35, 0.3, seed=17).to_dict()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert_same(json.dumps(a, sort_keys=True), json.dumps(b, sort_keys=True))
 
 
 class TestMedianFilter:
@@ -340,7 +340,7 @@ class TestRunPersonalized:
         inst = suite_instance(2, kmax=8)
         a = run_personalized(inst, 0.3, 0.3, seed=4).to_dict()
         b = run_personalized(inst, 0.3, 0.3, seed=4).to_dict()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert_same(json.dumps(a, sort_keys=True), json.dumps(b, sort_keys=True))
 
 
 # fast draws a payoff row per distribution each round, cover_finite a row of
@@ -367,4 +367,4 @@ def test_batched_draws_match_the_per_distribution_loops(algo, monkeypatch):
     monkeypatch.setattr(algos, "empirical_loss", reference_row_losses)
     for s, inst in enumerate(instances):
         want = json.dumps(run(inst, derive_seed(88, s)).to_dict(), sort_keys=True)
-        assert ours[s] == want, f"instance {s}"
+        assert_same(ours[s], want, f"instance {s}")

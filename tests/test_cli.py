@@ -266,6 +266,24 @@ class TestSolve:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [2.0, 2.5, "2"])
+    def test_non_integral_domain_size_exit_code(self, value, tmp_path, capsys):
+        # before the check, 2.5 and "2" loaded as n = 2 and the run exited 0
+        obj = MdlInstance(2, [FiniteDistribution([(1, 1, 1.0)])],
+                          HypothesisClass([[0, 1], [1, 1]])).to_dict()
+        obj["domain_size"] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "r.json"
+        code = run_cli("solve", "--algo", "finite", "--instance", str(path),
+                       "--out", str(out))
+        if value == 2.0:  # an integral float loads as its integer
+            assert code == 0
+            return
+        assert code == 2
+        assert "domain_size must be integers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_mass_exit_code(self, tmp_path, capsys):
         # a NaN mass once loaded, and the report read "max_loss": NaN
         inst = MdlInstance(2, [FiniteDistribution([(0, 0, 0.5), (1, 1, 0.5)])],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import suite_instance
+from helpers import assert_same, suite_instance
 from multidist import algos
 from multidist.algos import run_cover_then_finite, run_fast, run_finite
 from multidist.cover import SampleBatch, erm
@@ -46,10 +46,7 @@ def _assert_same_as_reference(monkeypatch, cases) -> list[list[str]]:
     for case, dumped in zip(cases, ours):
         ref = [_dumped(r) for r in _runs(*case[1:])]
         for algo, a, b in zip(("finite", "cover_finite", "fast"), dumped, ref):
-            # asserting a plain bool keeps pytest from diffing two long JSON
-            # strings on failure
-            same = a == b
-            assert same, f"{algo} on {case[0]}"
+            assert_same(a, b, f"{algo} on {case[0]}")
     return ours
 
 
@@ -129,7 +126,7 @@ class TestCheckStacks:
             with monkeypatch.context() as m:
                 m.setattr(algos, "_finite_loop", reference_finite_loop)
                 theirs = run(inst, 0.45, 0.3, seed, record_trace=record_trace)
-            assert _dumped(ours) == _dumped(theirs), ours.algorithm
+            assert_same(_dumped(ours), _dumped(theirs), ours.algorithm)
 
     @pytest.mark.parametrize("poison", [np.nan, -0.5])
     @pytest.mark.parametrize("s", [0, 3, 9, 14])

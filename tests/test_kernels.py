@@ -4,6 +4,7 @@ batched mixture and oracle draws, array checks of a distribution) against
 the versions kept in ``reference_kernels.py``."""
 
 import tracemalloc
+from bisect import bisect_right
 from math import comb
 
 import numpy as np
@@ -12,16 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import suite_instance
+from multidist import cli, model
 from multidist.evaluate import InstanceSpec, generate
 from multidist.model import (
     VC_MAX_CLASS,
     VC_MAX_DOMAIN,
     FiniteDistribution,
     HypothesisClass,
+    MdlInstance,
     SampleLedger,
     _brute_force_vc,
     _closure_pays,
     _closure_vc,
+    _draws,
     brute_force_vc,
     first_distinct_rows,
     make_rng,
@@ -350,3 +354,105 @@ def test_oracle_rows_match_the_stacked_one_index_calls(count):
         assert ours_ledger.per_oracle == theirs_ledger.per_oracle
         assert ours_ledger.total == theirs_ledger.total
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random(count)`` hands out given doubles."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def random(self, count: int) -> np.ndarray:
+        assert count == len(self.u)
+        return self.u
+
+
+def _edge_uniforms(dist: FiniteDistribution, rng: np.random.Generator) -> np.ndarray:
+    # every CDF edge below 1 and the doubles beside it, both zeros, the
+    # largest double below 1 and a few random doubles
+    cdf = np.add.accumulate(dist.probs)
+    edges = cdf[cdf < 1.0]
+    u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                        [0.0, -0.0, np.nextafter(1.0, 0.0)], rng.random(8)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _table_instances() -> dict[str, MdlInstance]:
+    zeros = FiniteDistribution([(0, 0, -0.0), (1, 1, 0.5), (2, 0, 0.0), (3, 1, 0.0),
+                                (4, 0, 0.5), (5, 1, -0.0)])
+    one_atom = FiniteDistribution([(2, 1, 1.0)])
+    cls = HypothesisClass(((np.arange(8)[:, None] >> np.arange(6)) & 1).tolist())
+    opposed = generate(InstanceSpec("opposed_labels", n=6, k=64, class_size=16, seed=1))
+    suite = suite_instance(7)
+    return {
+        **{f"suite {s}": suite_instance(s) for s in range(8)},
+        "zero masses": MdlInstance(6, [zeros, one_atom, zeros], cls),
+        "one atom, k = 1": MdlInstance(6, [one_atom], cls),
+        "opposed_labels k = 64": opposed,
+        "restricted opposed_labels": opposed.restrict([5, 0, 6, 1, 0]),
+        "restricted suite": suite.restrict(list(range(suite.k))[::-1] + [0]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_table_instances()))
+def test_table_draws_match_the_per_distribution_lookup(name):
+    # one _draws call over every position's edge uniforms, shuffled, against
+    # reference_oracle_sample_many at the same uniforms, position by position
+    inst = _table_instances()[name]
+    rng = make_rng(8404)
+    per_oracle = [_edge_uniforms(d, rng) for d in inst.distributions]
+    oracles = np.repeat(np.arange(inst.k), [len(u) for u in per_oracle])
+    u = np.concatenate(per_oracle)
+    order = rng.permutation(len(u))
+    ledger, theirs_ledger = SampleLedger(inst.k), SampleLedger(inst.k)
+    points, labels = _draws(inst, oracles[order], u[order], ledger)
+    assert points.dtype == labels.dtype == np.int64
+    for i, ui in enumerate(per_oracle):
+        want = reference_oracle_sample_many(inst, i, len(ui), _Uniforms(ui), theirs_ledger)
+        rows = order.argsort()[oracles == i]
+        assert np.array_equal(points[rows], want[0]) and np.array_equal(labels[rows], want[1]), \
+            f"{name}, oracle {i}"
+    assert ledger.per_oracle == theirs_ledger.per_oracle
+    # a batch of none draws nothing and ledgers nothing
+    none = _draws(inst, np.empty(0, dtype=np.int64), np.empty(0), ledger)
+    assert all(a.shape == (0,) and a.dtype == np.int64 for a in none)
+    assert ledger.per_oracle == theirs_ledger.per_oracle
+
+
+@pytest.mark.parametrize("name", list(_table_instances()))
+def test_loop_bisection_finds_the_searched_atom(name):
+    # the Hedge loop bisects the CDF list within a position's bounds; the
+    # batched search looks the complex key up in the whole table
+    inst = _table_instances()[name]
+    table, rng = inst.atom_table(), make_rng(8405)
+    assert inst.atom_table() is table
+    for i, d in enumerate(inst.distributions):
+        lo, hi = table.bounds[i]
+        assert table.points[lo:hi].tolist() == d.points.tolist()
+        assert table.labels[lo:hi].tolist() == d.labels.tolist()
+        u = _edge_uniforms(d, rng)
+        keys = np.empty(len(u), dtype=np.complex128)
+        keys.real, keys.imag = table.objects[i], u
+        searched = table.keys.searchsorted(keys, side="right").tolist()
+        assert [bisect_right(table.cdf, x, lo, hi) for x in u.tolist()] == searched
+        assert [lo + d.atom_index(x) for x in u.tolist()] == searched
+
+
+def test_gen_builds_no_table(monkeypatch, tmp_path):
+    # gen draws nothing, so it never packs the atoms; a solve run does
+    built = []
+
+    def counted(instance):
+        built.append(instance)
+        return table(instance)
+
+    table = model._AtomTable
+    monkeypatch.setattr(model, "_AtomTable", counted)
+    path = tmp_path / "inst.json"
+    assert cli.main(["gen", "--family", "realizable", "--n", "8", "--k", "16",
+                     "--class-size", "64", "--seed", "1", "--out", str(path)]) == 0
+    assert built == []
+    assert generate(InstanceSpec("opposed_labels", n=6, k=8, class_size=16, seed=1))._table is None
+    assert cli.main(["solve", "--algo", "mid", "--instance", str(path), "--epsilon", "0.45",
+                     "--no-trace", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(built) == 1

@@ -14,11 +14,11 @@ from multidist.algos import run_finite, run_mid, run_personalized
 from multidist.evaluate import InstanceSpec, brute_force_opt, evaluate_run, generate
 from multidist.model import (
     SUM_TOL,
-    FiniteDistribution,
     SampleLedger,
     _label_loss,
     derive_seed,
 )
+import multidist.model
 import multidist.online
 import reference_mid
 from multidist.online import _check_simplex
@@ -495,19 +495,26 @@ class TestEstimateOracle:
             assert abs(np.corrcoef(oracles, atoms)[0, 1]) < 5 / np.sqrt(len(oracles))
 
 
-def _counting_draws(monkeypatch) -> Counter:
-    """Count the atoms drawn from each distribution object, ledger aside.
-
-    Scalar and batched draws alike look their atoms up through
-    ``FiniteDistribution.atom_index``, one index per uniform."""
+def _counting_draws(monkeypatch, inst) -> Counter:
+    """Count the atoms drawn from each distribution object of `inst`, ledger
+    and atom lookup aside: a batch draws one atom per oracle it hands
+    ``_draws``, and a loop round one atom from the distribution its
+    ``_mixture_index`` names."""
     drawn: Counter = Counter()
-    original = FiniteDistribution.atom_index
+    draws, mixture_index = algos._draws, algos._mixture_index
 
-    def atom_index(self, u):
-        drawn[id(self)] += np.size(u)
-        return original(self, u)
+    def counted_draws(instance, oracles, u, ledger):
+        drawn.update(id(instance.distributions[i]) for i in oracles.tolist())
+        return draws(instance, oracles, u, ledger)
 
-    monkeypatch.setattr(FiniteDistribution, "atom_index", atom_index)
+    def counted_index(p, u):
+        i = mixture_index(p, u)
+        drawn[id(inst.distributions[i])] += 1
+        return i
+
+    monkeypatch.setattr(algos, "_draws", counted_draws)  # the estimate's batches
+    monkeypatch.setattr(multidist.model, "_draws", counted_draws)  # the public oracles'
+    monkeypatch.setattr(algos, "_mixture_index", counted_index)
     return drawn
 
 
@@ -516,7 +523,7 @@ class TestLoopInvariants:
     @settings(max_examples=30, deadline=None)
     def test_capped_simplex_and_ledger(self, inst):
         with pytest.MonkeyPatch.context() as mp:
-            drawn = _counting_draws(mp)
+            drawn = _counting_draws(mp, inst)
             rep = run_mid(inst, 0.45, 0.3, seed=derive_seed(8104, inst.k))
         cap = min(1.0, 2.0 / inst.k)
         assert len(rep.trace) == rep.config["T"]

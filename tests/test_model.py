@@ -651,6 +651,20 @@ class TestSerialization:
         loaded.save(str(path))
         assert path.read_bytes() == text
 
+    @pytest.mark.parametrize("value", [2.0, 2.5, "2"])
+    def test_domain_size_loads_only_as_an_integer(self, value, tmp_path):
+        # before the check, int() truncated 2.5 to 2 and parsed "2"
+        obj = _instance([FiniteDistribution([(1, 1, 1.0)])], n=2).to_dict()
+        obj["domain_size"] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        if value != 2.0:
+            with pytest.raises(ValueError, match="domain_size must be integers"):
+                MdlInstance.load(str(path))
+            return
+        loaded = MdlInstance.load(str(path))
+        assert type(loaded.domain_size) is int and loaded.domain_size == 2
+
     def test_restrict_keeps_sharing(self):
         inst = generate(InstanceSpec("opposed_labels", n=6, k=8, class_size=16, seed=1))
         sub = inst.restrict([5, 0, 6, 1, 0])
@@ -688,6 +702,17 @@ class TestRng:
         ledger = SampleLedger(2)
         with pytest.raises(ValueError):
             ledger.record(0, -1)
+
+    def test_ledger_counts_add_up_as_single_records(self):
+        # a count vector may stop short of k; the counters it skips stay put
+        ours, theirs = SampleLedger(4), SampleLedger(4)
+        for counts in ([2, 0, 5], [], [1, 1, 1, 1], [0, 3]):
+            ours.record_counts(counts)
+            for i, n in enumerate(counts):
+                theirs.record(i, n)
+        assert ours.per_oracle == theirs.per_oracle == [3, 4, 6, 1]
+        assert ours.total == theirs.total == 14
+        assert all(type(n) is int for n in ours.per_oracle)
 
 
 class TestPredictionMean:
