@@ -15,17 +15,18 @@ bandit feedback on the query the learner pays on) and ``_CappedHedge``
 (mid: a capped Hedge fed a one-sample estimate at its own uniform oracle),
 each no more than its block ``queries``, its ``feedback`` and its ``step``;
 the loop never asks which it runs.  Both sides run on plain weight arrays
-through the private steps that the public wrappers (``mixture_sample``,
-``oracle_sample``, ``hedge_step_cost``, ``project_capped``, ``exp3_step``,
-``mid_adversary_estimate``) validate and call, and check what those
-wrappers would check: the adversary checks its feedback every round (the
-mid estimate lies in [0, k], the finite cost in [0, 1]); the loop writes
-each round's learner and adversary into stacks of rows and checks them
-(nonnegative, summing to 1, within the adversary's cap) every
-``_CHECK_ROWS`` rounds with ``online._check_simplex_rows``, and before any
-error a later round raises, so the first failing round raises the error it
-raised alone.  Learning rates are constant, so they are checked once,
-before the loop.
+through the private steps that the public wrappers (``oracle_sample``,
+``hedge_step_cost``, ``project_capped``, ``exp3_step``,
+``mid_adversary_estimate``) validate and call, draw each mixture oracle by
+``_mixture_index`` (the index ``mixture_sample``'s ``rng.choice`` draws),
+and check what those wrappers would check: the adversary checks its
+feedback every round (the mid estimate lies in [0, k], the finite cost in
+[0, 1]); the loop writes each round's learner and adversary into stacks of
+rows and checks them (nonnegative, summing to 1, within the adversary's
+cap) every ``_CHECK_ROWS`` rounds with ``online._check_simplex_rows``, and
+before any error a later round raises, so the first failing round raises
+the error it raised alone.  Learning rates are constant, so they are checked
+once, before the loop.
 
 Per run, the loop finds a round's atom by bisecting the instance's packed
 CDF list within that distribution's atoms, computes the cost and Hedge
@@ -145,14 +146,6 @@ def _clamp_rate(x: float) -> float:
     return min(_RATE_CEIL, max(_RATE_FLOOR, x))
 
 
-def _resolve_vc(instance: MdlInstance, vc_dim: int | None) -> int:
-    if vc_dim is not None:
-        if vc_dim < 0:
-            raise ValueError("vc_dim must be >= 0")
-        return vc_dim
-    return vc_dimension(instance.hypothesis_class)
-
-
 @dataclass
 class RunReport:
     """Everything one execution produced, replayable from (seed, config)."""
@@ -244,7 +237,7 @@ def fast_params(epsilon: float, alpha: float, delta: float, k: int, d: int,
 
 def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
              seed: int, constants: dict[str, float] | None = None,
-             vc_dim: int | None = None, record_trace: bool = True) -> RunReport:
+             record_trace: bool = True) -> RunReport:
     """ERM learner against a Hedge adversary with fresh per-round batches.
 
     Round t: draw r1 points from the adversary's mixture and take the
@@ -255,7 +248,7 @@ def run_fast(instance: MdlInstance, epsilon: float, alpha: float, delta: float,
     """
     cons = resolve_constants(constants)
     k = instance.k
-    d = _resolve_vc(instance, vc_dim)
+    d = vc_dimension(instance.hypothesis_class)
     params = fast_params(epsilon, alpha, delta, k, d, cons["C1"], cons["C2"])
     _check_queries(params.predicted_budget)
     rng = make_rng(seed)
@@ -442,13 +435,12 @@ def run_finite(instance: MdlInstance, epsilon: float, delta: float, seed: int,
 
 def run_cover_then_finite(instance: MdlInstance, epsilon: float, delta: float,
                           seed: int, constants: dict[str, float] | None = None,
-                          vc_dim: int | None = None,
                           record_trace: bool = True) -> RunReport:
     """Offline projection cover per oracle, then the finite dynamics on it."""
     cons = resolve_constants(constants)
     _check_epsilon_delta(epsilon, delta)
     k = instance.k
-    d = _resolve_vc(instance, vc_dim)
+    d = vc_dimension(instance.hypothesis_class)
     per_oracle = max(1, ceil_budget(cons["C"] * d / epsilon, "C"))
     # the finite loop's rounds depend on the cover, so it checks the total
     _check_queries(k * per_oracle)
@@ -572,7 +564,7 @@ class _CappedHedge:
 
 def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
             constants: dict[str, float] | None = None, estimator: str = "unbiased",
-            vc_dim: int | None = None, record_trace: bool = True) -> RunReport:
+            record_trace: bool = True) -> RunReport:
     """Covered Hedge learner vs capped (2-smooth) Hedge adversary.
 
     First N uniform-mixture draws build a projection cover; then each of
@@ -585,7 +577,7 @@ def run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     k = instance.k
-    d = _resolve_vc(instance, vc_dim)
+    d = vc_dimension(instance.hypothesis_class)
     sched = _mid_schedule(epsilon, delta, k, d, cons)
     _check_queries(sched["N"] + 2 * sched["T"])
     rng = make_rng(seed)
@@ -637,8 +629,7 @@ def personalized_eval_size(epsilon: float, delta: float, k: int,
 
 def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: int,
                      constants: dict[str, float] | None = None,
-                     estimator: str = "unbiased", vc_dim: int | None = None,
-                     record_trace: bool = True) -> RunReport:
+                     estimator: str = "unbiased", record_trace: bool = True) -> RunReport:
     """Halving loop that hands each distribution its own hypothesis.
 
     Each round runs the mid dynamics on the still-active distributions,
@@ -649,7 +640,7 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
     cons = resolve_constants(constants)
     _check_epsilon_delta(epsilon, delta)
     k = instance.k
-    d = _resolve_vc(instance, vc_dim)
+    d = vc_dimension(instance.hypothesis_class)
     rounds = max(1, math.ceil(math.log2(k)))
     delta_inner = delta / rounds
     m_eval = personalized_eval_size(epsilon, delta, k, cons["Ceval"])
@@ -667,8 +658,7 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
             break
         sub = instance.restrict(active)
         inner = run_mid(sub, epsilon, delta_inner, derive_seed(seed, t, 0),
-                        constants=cons, estimator=estimator, vc_dim=d,
-                        record_trace=False)
+                        constants=cons, estimator=estimator, record_trace=False)
         for g, count in zip(active, inner.ledger_per_oracle):
             ledger.record(g, count)
         h_t = inner.hypothesis

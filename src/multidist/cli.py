@@ -117,29 +117,26 @@ def _argmin_stub(instance: MdlInstance, seed: int, opt: OptResult) -> RunReport:
                      trace=[])
 
 
-def _run_algorithm(algo: str, instance: MdlInstance, task: dict,
-                   vc_dim: int | None, opt: OptResult) -> RunReport:
-    """Run one algorithm; a `vc_dim` of None lets it compute the VC itself.
-    Only `argmin_stub` reads the cell's exact optimum `opt`."""
+def _run_algorithm(algo: str, instance: MdlInstance, task: dict, opt: OptResult) -> RunReport:
+    """Run one algorithm; only `argmin_stub` reads the cell's exact optimum `opt`."""
     epsilon, delta, alpha = task["epsilon"], task["delta"], task["alpha"]
     seed, constants = task["run_seed"], task["constants"]
     trace = task.get("trace", True)
     if algo == "fast":
         return run_fast(instance, epsilon, alpha, delta, seed, constants=constants,
-                        vc_dim=vc_dim, record_trace=trace)
+                        record_trace=trace)
     if algo == "finite":
         return run_finite(instance, epsilon, delta, seed,
                           constants=constants, record_trace=trace)
     if algo == "cover_finite":
         return run_cover_then_finite(instance, epsilon, delta, seed, constants=constants,
-                                     vc_dim=vc_dim, record_trace=trace)
+                                     record_trace=trace)
     if algo == "mid":
         return run_mid(instance, epsilon, delta, seed, constants=constants,
-                       estimator=task["estimator"], vc_dim=vc_dim, record_trace=trace)
+                       estimator=task["estimator"], record_trace=trace)
     if algo == "personalized":
-        return run_personalized(instance, epsilon, delta, seed,
-                                constants=constants, estimator=task["estimator"],
-                                vc_dim=vc_dim, record_trace=trace)
+        return run_personalized(instance, epsilon, delta, seed, constants=constants,
+                                estimator=task["estimator"], record_trace=trace)
     if algo == "argmin_stub":
         return _argmin_stub(instance, seed, opt)
     raise ValueError(f"unknown algorithm {algo!r}")
@@ -164,19 +161,18 @@ def _run_cell(task: dict, row: dict | None) -> tuple[RunReport, dict, float]:
     """Generate, run (timed, in ms) and evaluate one cell, filling `row` (if given).
 
     The exact optimum (the one generation computed, if any) comes first, so
-    its size guard trips before any other work; the VC dimension is
-    computed once, for the row, and handed to the run.
+    its size guard trips before any other work; the class keeps the VC
+    dimension the row reads, so the run does not search it again.
     """
     instance, opt = _instance_from_task(task)
     if opt is None:
         opt = brute_force_opt(instance)
-    vc_dim = None
     if row is not None:
-        vc_dim = _vc_or_none(instance)
         row.update(n=instance.domain_size, k=instance.k,
-                   class_size=len(instance.hypothesis_class), vc_dim=vc_dim)
+                   class_size=len(instance.hypothesis_class))
+        row["vc_dim"] = _vc_or_none(instance)
     t0 = time.perf_counter()
-    report = _run_algorithm(task["algo"], instance, task, vc_dim, opt)
+    report = _run_algorithm(task["algo"], instance, task, opt)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     ev = evaluate_run(instance, report, task["epsilon"], task["alpha"], opt)
     if row is not None:

@@ -18,8 +18,8 @@ The public oracles validate their arguments, then draw through one private
 path, ``_draws``: one search of the instance's ``_AtomTable`` (its distinct
 objects' atoms, packed at the first draw) finds a batch of atoms from any
 oracles, and one ``bincount`` ledgers them.  ``oracle_sample_many`` takes
-one index or a sequence (a row each); the scalar oracles hand ``_draws``
-one-element arrays.  Every draw is one double (``rng.random(m)`` gives the
+one index or a sequence (a row each); a scalar oracle is its batched
+twin's count-1 call.  Every draw is one double (``rng.random(m)`` gives the
 doubles of m ``rng.random()`` calls), so a loop may draw uniforms in
 blocks.  The dynamics loop calls ``_mixture_index`` every round (the index
 ``rng.choice(k, p=p)`` would draw), bisects the table's CDF list within
@@ -138,6 +138,13 @@ def _integers(values: np.ndarray, what: str) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
+def _json(value, kind, field: str):
+    """`value` if ``json.load`` gave it the type `kind`, else a ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"malformed instance: {field} has the wrong JSON type")
+    return value
+
+
 class FiniteDistribution:
     """Probability mass over distinct (point, label) atoms.
 
@@ -153,7 +160,9 @@ class FiniteDistribution:
             raise ValueError("distribution needs at least one atom")
         pts = _integers(np.array([a[0] for a in atoms]), "domain points")
         labels = [a[1] for a in atoms]
-        pbs = np.array([a[2] for a in atoms], dtype=np.float64)
+        pbs = np.array([a[2] for a in atoms])
+        if pbs.dtype.kind not in "fiu" or pbs.ndim != 1:
+            raise ValueError("FiniteDistribution: masses must be numbers")
         if np.minimum.reduce(pts) < 0:
             raise ValueError("negative domain point")
         # 0.0, 1.0, False and True hash and compare as 0 and 1; 0.7 does not
@@ -163,7 +172,7 @@ class FiniteDistribution:
             raise ValueError("duplicate (point, label) atom")
         self.points = pts
         self.labels = np.array(labels, dtype=np.int64)
-        self.probs = _normalized(pbs, "FiniteDistribution")
+        self.probs = _normalized(pbs.astype(np.float64, copy=False), "FiniteDistribution")
         # The last atom's upper edge is +inf rather than the rounded total, so
         # every uniform lands on an atom: the same atom a clamp to the last
         # index would give, without the clamp.
@@ -244,14 +253,15 @@ class HypothesisClass:
     matrix whose repeated rows are dropped (first occurrence kept), so ERM
     scans, coverings, and the brute-force optimum all enumerate the same
     explicit rows.  The per-row :class:`Hypothesis` objects are built only
-    when ``hypotheses`` is first read; the algorithms never read it.
+    when ``hypotheses`` is first read (the algorithms never read it), and
+    the VC dimension only when ``vc_dimension`` first asks for it.
 
     A class is tagged ``explicit`` unless ``from_family``, the one builder of
     the structured families, made it, so a tag always names the rows the
     class holds, and ``vc_dimension`` reads the family's closed form from it.
     """
 
-    __slots__ = ("matrix", "family_tag", "_hypotheses")
+    __slots__ = ("matrix", "family_tag", "_hypotheses", "_vc")
 
     def __init__(self, label_vectors: Iterable[Sequence[int]]):
         rows = label_vectors if isinstance(label_vectors, np.ndarray) else list(label_vectors)
@@ -269,6 +279,7 @@ class HypothesisClass:
         self.matrix = labels[first_distinct_rows(labels)]
         self.family_tag = "explicit"
         self._hypotheses: list[Hypothesis] | None = None
+        self._vc: int | None = None
 
     @property
     def hypotheses(self) -> list[Hypothesis]:
@@ -456,14 +467,22 @@ class MdlInstance:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MdlInstance":
-        n = int(_integers(np.asarray(obj["domain_size"]), "domain_size"))
+        """The instance of a JSON object shaped as ``to_dict`` writes it; a
+        ValueError names the first field of another JSON type."""
+        number = (int, float, str)  # a string fails its own field's check
+        size = _json(_json(obj, dict, "the instance")["domain_size"], number, "domain_size")
+        n = int(_integers(np.asarray(size), "domain_size"))
+        dists = _json(obj["distributions"], list, "distributions")
+        atoms = [_json(a, list, "an atom") for d in dists for a in _json(d, list, "a distribution")]
+        if not all(isinstance(v, number) for a in atoms for v in a):
+            raise ValueError("malformed instance: an atom entry has the wrong JSON type")
         # positions whose atom lists read alike (-0.0 apart) share one object
-        keys = [repr(d) for d in obj["distributions"]]
+        keys = [repr(d) for d in dists]
         built = {key: FiniteDistribution([(x, y, p) for x, y, p in d])
-                 for key, d in dict(zip(keys, obj["distributions"])).items()}
-        cobj = obj["class"]
-        hclass = HypothesisClass.from_family(
-            cobj["family"], n, cobj.get("hypotheses"))
+                 for key, d in dict(zip(keys, dists)).items()}
+        cobj = _json(obj["class"], dict, "class")
+        hclass = HypothesisClass.from_family(cobj["family"], n, _json(
+            cobj.get("hypotheses"), (list, type(None)), "hypotheses"))
         return cls(n, [built[key] for key in keys], hclass)
 
     def save(self, path: str) -> None:
@@ -568,10 +587,7 @@ def _check_mixture(weights: np.ndarray, k: int) -> np.ndarray:
 def mixture_sample(instance: MdlInstance, weights: Sequence[float],
                    rng: np.random.Generator, ledger: SampleLedger) -> LabeledExample:
     """One draw from the weighted mixture of oracles; one ledger increment."""
-    w = _check_mixture(np.asarray(weights), instance.k)
-    # the first uniform picks the distribution, the second the atom
-    u = rng.random(2)
-    points, labels = _draws(instance, np.array([_mixture_index(w, u[0])]), u[1:], ledger)
+    points, labels = mixture_sample_many(instance, weights, 1, rng, ledger)
     return LabeledExample(int(points[0]), int(labels[0]))
 
 
@@ -747,10 +763,11 @@ def vc_dimension(hclass: HypothesisClass) -> int:
     tag only ``from_family`` sets), ``brute_force_vc`` for explicit classes.
     Over n points, thresholds have min(n, 1), intervals min(n, 2) and
     singletons min(n - 1, 1) (one row at n = 1; at n = 0 the class is empty,
-    which the constructor refuses).
+    which the constructor refuses).  The class keeps the value, so each run
+    reads it here and a class is searched once; a GuardError is not kept.
     """
-    n = hclass.domain_size
-    closed = {"thresholds": min(n, 1), "intervals": min(n, 2), "singletons": min(n - 1, 1)}
-    if hclass.family_tag in closed:
-        return closed[hclass.family_tag]
-    return brute_force_vc(hclass, n)
+    if hclass._vc is None:
+        n, tag = hclass.domain_size, hclass.family_tag
+        closed = {"thresholds": min(n, 1), "intervals": min(n, 2), "singletons": min(n - 1, 1)}
+        hclass._vc = closed[tag] if tag in closed else brute_force_vc(hclass, n)
+    return hclass._vc

@@ -21,6 +21,14 @@ def assert_same(ours: str, theirs: str, label: str = "") -> None:
     assert same, label
 
 
+def counted(fn, calls: list):
+    """`fn`, appending to `calls` at every call."""
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def suite_instance(s: int, kmax: int = 6) -> MdlInstance:
     """Deterministic member s of the standard random suite (n<=10, |H|<=40)."""
     n = 4 + (s % 7)

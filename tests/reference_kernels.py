@@ -8,6 +8,10 @@ fast versions, kept as test oracles.
   same ``bincount`` leaf test.
 - ``reference_mixture_sample_many``: mixture draws oracle by oracle, one
   boolean mask and one ``rng.random(m)`` block per chosen oracle.
+- ``reference_mixture_sample``: one mixture draw as ``mixture_sample``
+  drew it before it became the count-1 call of ``mixture_sample_many``:
+  ``rng.random(2)``, the oracle by ``_mixture_index`` at the first double
+  and the atom by that distribution's ``atom_index`` at the second.
 - ``reference_oracle_sample_many``: one oracle's batch through its own
   ``draw_indices`` lookup and ledger entry, as it drew before it went
   through ``model._draws``.
@@ -44,10 +48,12 @@ from multidist.model import (
     GuardError,
     Hypothesis,
     HypothesisClass,
+    LabeledExample,
     MdlInstance,
     RandomizedHypothesis,
     SampleLedger,
     _check_mixture,
+    _mixture_index,
 )
 
 
@@ -120,6 +126,18 @@ def reference_mixture_sample_many(instance: MdlInstance, weights: np.ndarray, co
         labels[mask] = dist.labels[idx]
         ledger.record(i, m)
     return points, labels
+
+
+def reference_mixture_sample(instance: MdlInstance, weights: np.ndarray,
+                             rng: np.random.Generator, ledger: SampleLedger) -> LabeledExample:
+    """One mixture draw from two scalar doubles; one ledger increment."""
+    w = _check_mixture(np.asarray(weights), instance.k)
+    u = rng.random(2)
+    oracle = _mixture_index(w, u[0])
+    dist = instance.distributions[oracle]
+    atom = dist.atom_index(float(u[1]))
+    ledger.record(oracle)
+    return LabeledExample(int(dist.points[atom]), int(dist.labels[atom]))
 
 
 def reference_oracle_sample_many(instance: MdlInstance, i: int, count: int,

@@ -24,7 +24,6 @@ from multidist.algos import (
     _clamp_rate,
     _estimate_value,
     _mid_schedule,
-    _resolve_vc,
     resolve_constants,
 )
 from multidist.cover import projection_cover
@@ -37,14 +36,14 @@ from multidist.model import (
     mixture_sample,
     mixture_sample_many,
     oracle_sample,
+    vc_dimension,
 )
 from multidist.online import CostVector, SimplexWeights, hedge_step_cost
 
 
 def reference_run_mid(instance: MdlInstance, epsilon: float, delta: float, seed: int,
                       constants: dict[str, float] | None = None,
-                      estimator: str = "unbiased", vc_dim: int | None = None,
-                      record_trace: bool = True) -> RunReport:
+                      estimator: str = "unbiased", record_trace: bool = True) -> RunReport:
     """Covered Hedge learner vs capped (2-smooth) Hedge adversary."""
     cons = resolve_constants(constants)
     if not 0 < epsilon < 1 or not 0 < delta < 1:
@@ -52,7 +51,7 @@ def reference_run_mid(instance: MdlInstance, epsilon: float, delta: float, seed:
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     k = instance.k
-    d = _resolve_vc(instance, vc_dim)
+    d = vc_dimension(instance.hypothesis_class)
     sched = _mid_schedule(epsilon, delta, k, d, cons)
     rng = make_rng(seed)
     ledger = SampleLedger(k)

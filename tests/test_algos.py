@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same, suite_instance
-from multidist import algos
+from helpers import assert_same, counted, suite_instance
+from multidist import algos, model
 from multidist.algos import (
     QUERY_GUARD,
     _finite_schedule,
@@ -37,6 +37,7 @@ from multidist.model import (
     derive_seed,
     exact_loss,
     make_rng,
+    vc_dimension,
 )
 from reference_kernels import reference_oracle_rows, reference_row_losses
 
@@ -341,6 +342,40 @@ class TestRunPersonalized:
         a = run_personalized(inst, 0.3, 0.3, seed=4).to_dict()
         b = run_personalized(inst, 0.3, 0.3, seed=4).to_dict()
         assert_same(json.dumps(a, sort_keys=True), json.dumps(b, sort_keys=True))
+
+
+_VC_RUNS = {
+    "fast": lambda inst: run_fast(inst, 0.3, 0.3, 0.3, 1, record_trace=False),
+    "cover_finite": lambda inst: run_cover_then_finite(inst, 0.3, 0.3, 1, record_trace=False),
+    "mid": lambda inst: run_mid(inst, 0.45, 0.3, 1, record_trace=False),
+    "personalized": lambda inst: run_personalized(inst, 0.45, 0.3, 1, record_trace=False),
+}
+
+
+class TestVcFromTheClass:
+    @pytest.mark.parametrize("algo", _VC_RUNS)
+    def test_report_reads_the_class_vc(self, algo):
+        # explicit classes (brute force) of several dimensions, and intervals
+        # (closed form)
+        instances = [suite_instance(s, kmax=8) for s in range(6)] + [
+            generate(InstanceSpec("random", n=6, k=4, class_size=64, seed=5)),
+            generate(InstanceSpec("random", n=6, k=4, class_size=8, seed=5,
+                                  class_family="intervals"))]
+        dims = set()
+        for inst in instances:
+            d = vc_dimension(inst.hypothesis_class)
+            assert _VC_RUNS[algo](inst).config["vc_dim"] == d
+            dims.add(d)
+        assert len(dims) >= 3
+
+    def test_personalized_searches_the_class_once(self, monkeypatch):
+        # the inner mid runs read the VC their restricted instances share
+        inst = generate(InstanceSpec("random", n=7, k=8, class_size=32, seed=9))
+        calls = []
+        monkeypatch.setattr(model, "brute_force_vc", counted(model.brute_force_vc, calls))
+        rep = _VC_RUNS["personalized"](inst)
+        assert len(rep.config["inner"]) == 3
+        assert len(calls) == 1
 
 
 # fast draws a payoff row per distribution each round, cover_finite a row of

@@ -284,6 +284,38 @@ class TestSolve:
         assert "domain_size must be integers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, value, message", [
+        ((), [1, 2], "the instance has the wrong JSON type"),
+        (("class",), 3, "class has the wrong JSON type"),
+        (("class", "hypotheses"), 3, "hypotheses has the wrong JSON type"),
+        (("distributions",), 5, "distributions has the wrong JSON type"),
+        (("distributions", 0), 5, "a distribution has the wrong JSON type"),
+        (("distributions", 0, 0), 5, "an atom has the wrong JSON type"),
+        (("distributions", 0, 0, 1), [1], "an atom entry has the wrong JSON type"),
+        (("distributions", 0, 0, 2), [1.0], "an atom entry has the wrong JSON type"),
+        (("domain_size",), [2], "domain_size has the wrong JSON type"),
+        (("distributions", 0, 0, 2), "1.0", "masses must be numbers"),
+    ])
+    def test_malformed_file_exit_code(self, where, value, message, tmp_path, capsys):
+        # before the checks, each of these but the string mass raised a
+        # TypeError out of main, and the string mass was parsed
+        root = {"file": MdlInstance(2, [FiniteDistribution([(1, 1, 1.0)])],
+                                    HypothesisClass([[0, 1], [1, 1]])).to_dict()}
+        node, path = root, ("file", *where)
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(root["file"]))
+        out = tmp_path / "r.json"
+        code = run_cli("solve", "--algo", "fast", "--instance", str(inst),
+                       "--no-trace", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_nan_mass_exit_code(self, tmp_path, capsys):
         # a NaN mass once loaded, and the report read "max_loss": NaN
         inst = MdlInstance(2, [FiniteDistribution([(0, 0, 0.5), (1, 1, 0.5)])],

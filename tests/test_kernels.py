@@ -29,6 +29,7 @@ from multidist.model import (
     brute_force_vc,
     first_distinct_rows,
     make_rng,
+    mixture_sample,
     mixture_sample_many,
     oracle_sample_many,
 )
@@ -37,6 +38,7 @@ from reference_kernels import (
     reference_brute_force_vc,
     reference_distribution_arrays,
     reference_first_distinct_rows,
+    reference_mixture_sample,
     reference_mixture_sample_many,
     reference_oracle_rows,
     reference_oracle_sample_many,
@@ -308,6 +310,33 @@ def test_mixture_draws_match_the_per_oracle_loop(count):
         assert all(np.array_equal(a, b) and a.dtype == b.dtype
                    for a, b in zip(got, want)), f"suite member {s}"
         assert ours_ledger.per_oracle == theirs_ledger.per_oracle
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_scalar_mixture_draw_matches_the_two_double_path():
+    # 60 instances (one object at several oracles in opposed_labels, and
+    # k = 1 and k = 64), 200 weight vectors each with about 30% of the
+    # weights zero, 3 draws per vector, each from where the last one left
+    # the stream
+    instances = [suite_instance(s) for s in range(56)] + [
+        generate(InstanceSpec(family, n=9, k=k, class_size=16, seed=3))
+        for family, k in (("opposed_labels", 5), ("opposed_labels", 8),
+                          ("random", 1), ("random", 64))]
+    for s, inst in enumerate(instances):
+        weights = make_rng((8404, s))
+        ours, theirs = make_rng((8405, s)), make_rng((8405, s))
+        ours_ledger, theirs_ledger = SampleLedger(inst.k), SampleLedger(inst.k)
+        for v in range(200):
+            w = weights.random(inst.k) * (weights.random(inst.k) < 0.7)
+            if not w.sum() > 0:
+                w[v % inst.k] = 1.0
+            w /= w.sum()
+            for _ in range(3):
+                got = mixture_sample(inst, w, ours, ours_ledger)
+                want = reference_mixture_sample(inst, w, theirs, theirs_ledger)
+                assert got == want, f"instance {s}, weights {v}"
+        assert ours_ledger.per_oracle == theirs_ledger.per_oracle
+        assert ours_ledger.total == theirs_ledger.total == 600
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 

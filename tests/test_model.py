@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import distributions, hypothesis_classes
+from helpers import counted, distributions, hypothesis_classes
 from multidist import evaluate, model
 from multidist.cover import projection_cover
 from multidist.evaluate import GENERATOR_FAMILIES, InstanceSpec, _with_member, generate
@@ -132,6 +132,17 @@ class TestFiniteDistribution:
     def test_rejects_nan_mass(self, mass):
         with pytest.raises(ValueError, match="FiniteDistribution"):
             FiniteDistribution([(0, 0, mass[0]), (1, 1, mass[1])])
+
+    @pytest.mark.parametrize("mass", ["1.0", None, True, [1.0]])
+    def test_rejects_masses_that_are_not_numbers(self, mass):
+        # before the check, "1.0" was parsed, True read as 1.0 and [1.0] as
+        # a one-mass row
+        with pytest.raises(ValueError, match="FiniteDistribution: masses must be numbers"):
+            FiniteDistribution([(0, 0, mass)])
+
+    def test_integer_masses_load_as_floats(self):
+        d = FiniteDistribution([(0, 0, 0), (1, 1, np.uint8(1))])
+        assert d.probs.dtype == np.float64 and d.probs.tolist() == [0.0, 1.0]
 
 
 class TestInverseCdf:
@@ -419,6 +430,39 @@ class TestVcDimension:
         rows = HypothesisClass.from_family("thresholds", 30).matrix
         with pytest.raises(GuardError):
             vc_dimension(HypothesisClass(rows))
+
+    def test_the_class_keeps_its_vc(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "brute_force_vc", counted(model.brute_force_vc, calls))
+        vecs = [[(i >> j) & 1 for j in range(4)] for i in range(16)]
+        hclass = HypothesisClass(vecs)
+        assert vc_dimension(hclass) == vc_dimension(hclass) == 4
+        assert len(calls) == 1
+        # a new class is searched again, even with the same rows
+        assert vc_dimension(HypothesisClass(vecs)) == 4
+        assert len(calls) == 2
+
+    def test_a_guard_error_is_not_kept(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "brute_force_vc", counted(model.brute_force_vc, calls))
+        hclass = HypothesisClass(HypothesisClass.from_family("thresholds", 30).matrix)
+        for _ in range(2):
+            with pytest.raises(GuardError):
+                vc_dimension(hclass)
+        assert len(calls) == 2
+
+    def test_a_kept_zero_is_not_searched_again(self, monkeypatch):
+        # 0 is a kept value, not a missing one: structured classes with
+        # closed form 0 never search, and a one-row explicit class searches once
+        calls = []
+        monkeypatch.setattr(model, "brute_force_vc", counted(model.brute_force_vc, calls))
+        for hclass in (HypothesisClass.from_family("thresholds", 0),
+                       HypothesisClass.from_family("singletons", 1)):
+            assert vc_dimension(hclass) == vc_dimension(hclass) == 0
+        assert calls == []
+        one_row = HypothesisClass([[0, 1, 1]])
+        assert vc_dimension(one_row) == vc_dimension(one_row) == 0
+        assert len(calls) == 1
 
 
 class TestHypothesisClass:

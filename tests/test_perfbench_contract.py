@@ -1,13 +1,20 @@
 """The benchmark under ``perfbench/`` resolves the package functions it
-traces and the helpers its checks import.
+traces and the helpers its checks import, and the CLI parses the argv of
+every cell kind it runs.
 
-Both files are parsed, not imported, so the check runs no benchmark code
-and leaves nothing behind in that directory.
+The first two checks parse the files, not import them.  The argv check
+loads ``cells.py`` (whose top level defines its cells and imports only the
+standard library) without writing bytecode, so nothing is left behind in
+that directory, and runs no cell.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
+
+from multidist import cli
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,3 +53,33 @@ def test_every_helper_cells_imports_exists():
     assert imports
     for module, attr in imports:
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+def _cells_module():
+    """``perfbench/cells.py`` as a module; its dataclasses need it listed in
+    ``sys.modules`` while it runs, and it is unlisted again after."""
+    name = "perfbench_cells"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "cells.py")
+    module = importlib.util.module_from_spec(spec)
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+        del sys.modules[name]
+    return module
+
+
+def test_cli_parses_every_cell_kind():
+    # a flag the benchmark passes that the CLI dropped or renamed fails
+    # here, not as a failed benchmark run
+    cells = _cells_module()
+    parser = cli.build_parser()
+    kinds = 0
+    for workload, kinds_of in cells.WORKLOADS.items():
+        for cell in cells.build_cells(workload, 1)[:len(kinds_of)]:
+            args = parser.parse_args(cell.argv("out"))
+            assert args.command == cell.kind[0], (workload, cell.kind)
+            kinds += 1
+    assert kinds == 9
