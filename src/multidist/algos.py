@@ -369,14 +369,15 @@ def _finite_schedule(class_size: int, k: int, epsilon: float, delta: float,
 class _Exp3:
     """The finite adversary: Exp3 over the k distributions, on the one
     query a round that the learner also pays on.  It plays the mixture's
-    draw and banks the learner mixture's loss there as payoff; its weights
-    are updated in place."""
+    draw and banks the learner mixture's loss there as payoff.  Its unmixed
+    weights `s` are its state; `w`, the distribution it plays, is `s` mixed
+    with uniform.  Both are updated in place."""
 
     width, cap, trace_key = 2, None, "observed_loss"
 
     def __init__(self, k: int, eta: float, exploration: float):
         _check_exp3_rates(eta, exploration)
-        self.w = SimplexWeights.uniform(k).w
+        self.s, self.w = SimplexWeights.uniform(k).w, SimplexWeights.uniform(k).w
         self.eta, self.exploration = eta, exploration
 
     def queries(self, instance: MdlInstance, u: np.ndarray, ledger: SampleLedger):
@@ -392,7 +393,7 @@ class _Exp3:
         return i, loss
 
     def step(self, chosen: int, loss: float) -> None:
-        _exp3_step(self.w, chosen, 1.0 - loss, self.eta, self.exploration)
+        _exp3_step(self.s, self.w, chosen, 1.0 - loss, self.eta, self.exploration)
 
 
 def _finite_loop(instance: MdlInstance, hclass: HypothesisClass, epsilon: float,
@@ -652,7 +653,6 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
     assignments: dict[int, RandomizedHypothesis] = {}
     trace: list[dict] = []
     inner_meta: list[dict] = []
-    last_hypothesis: RandomizedHypothesis | None = None
     for t in range(rounds):
         if not active:
             break
@@ -662,7 +662,6 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
         for g, count in zip(active, inner.ledger_per_oracle):
             ledger.record(g, count)
         h_t = inner.hypothesis
-        last_hypothesis = h_t
         eval_rng = make_rng(derive_seed(seed, t, 1))
         losses = empirical_loss(h_t, SampleBatch(*oracle_sample_many(
             instance, active, m_eval, eval_rng, ledger)))
@@ -679,8 +678,8 @@ def run_personalized(instance: MdlInstance, epsilon: float, delta: float, seed: 
                            "mid_total": inner.ledger_total,
                            "T": inner.config["T"], "N": inner.config["N"]})
         active = [active[j] for j in survivors]
-    for g in active:  # at most one distribution can outlast the halving
-        assignments[g] = last_hypothesis
+    for g in active:  # at most one outlasts the halving; it gets the last round's h_t
+        assignments[g] = h_t
     config = {"epsilon": epsilon, "delta": delta, "delta_inner": delta_inner,
               "rounds": rounds, "m_eval": m_eval, "constants": cons,
               "estimator": estimator, "vc_dim": d, "inner": inner_meta}

@@ -95,7 +95,7 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 
 def _instance_from_task(task: dict) -> tuple[MdlInstance, OptResult | None]:
     """The cell's instance, and its exact optimum if generating it computed one."""
-    if task.get("instance_path"):
+    if task["instance_path"]:
         return MdlInstance.load(task["instance_path"]), None
     return generate_with_opt(InstanceSpec(
         family=task["family"], n=task["n"], k=task["k"],
@@ -121,7 +121,7 @@ def _run_algorithm(algo: str, instance: MdlInstance, task: dict, opt: OptResult)
     """Run one algorithm; only `argmin_stub` reads the cell's exact optimum `opt`."""
     epsilon, delta, alpha = task["epsilon"], task["delta"], task["alpha"]
     seed, constants = task["run_seed"], task["constants"]
-    trace = task.get("trace", True)
+    trace = task["trace"]
     if algo == "fast":
         return run_fast(instance, epsilon, alpha, delta, seed, constants=constants,
                         record_trace=trace)
@@ -157,8 +157,8 @@ def _new_row(task: dict) -> dict:
     return row
 
 
-def _run_cell(task: dict, row: dict | None) -> tuple[RunReport, dict, float]:
-    """Generate, run (timed, in ms) and evaluate one cell, filling `row` (if given).
+def _run_cell(task: dict, row: dict) -> tuple[RunReport, dict, float]:
+    """Generate, run (timed, in ms) and evaluate one cell, filling `row`.
 
     The exact optimum (the one generation computed, if any) comes first, so
     its size guard trips before any other work; the class keeps the VC
@@ -167,24 +167,21 @@ def _run_cell(task: dict, row: dict | None) -> tuple[RunReport, dict, float]:
     instance, opt = _instance_from_task(task)
     if opt is None:
         opt = brute_force_opt(instance)
-    if row is not None:
-        row.update(n=instance.domain_size, k=instance.k,
-                   class_size=len(instance.hypothesis_class))
-        row["vc_dim"] = _vc_or_none(instance)
+    row.update(n=instance.domain_size, k=instance.k,
+               class_size=len(instance.hypothesis_class), vc_dim=_vc_or_none(instance))
     t0 = time.perf_counter()
     report = _run_algorithm(task["algo"], instance, task, opt)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     ev = evaluate_run(instance, report, task["epsilon"], task["alpha"], opt)
-    if row is not None:
-        row.update(
-            samples_total=report.ledger_total,
-            samples_max_per_oracle=max(report.ledger_per_oracle),
-            opt=ev["opt"], max_loss=ev["max_loss"], excess=ev["excess"],
-            smooth_max_loss=ev["smooth_max_loss"],
-            iterations=report.config.get("T", report.config.get("rounds")),
-            wall_ms=wall_ms if task.get("timing") else None,
-            eps_ok=ev["eps_ok"],
-        )
+    row.update(
+        samples_total=report.ledger_total,
+        samples_max_per_oracle=max(report.ledger_per_oracle),
+        opt=ev["opt"], max_loss=ev["max_loss"], excess=ev["excess"],
+        smooth_max_loss=ev["smooth_max_loss"],
+        iterations=report.config.get("T", report.config.get("rounds")),
+        wall_ms=wall_ms if task["timing"] else None,
+        eps_ok=ev["eps_ok"],
+    )
     return report, ev, wall_ms
 
 
@@ -220,9 +217,9 @@ def _write_csv(path: str, rows: list[dict]) -> None:
             writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
 
 
-def _write_json(path: str | None, obj: dict) -> None:
+def _write_json(path: str, obj: dict) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as f:
@@ -270,7 +267,7 @@ def _base_task(args) -> dict:
         raise ValueError(f"--alpha must be nonnegative and finite, got {args.alpha!r}")
     return {
         "algo": args.algo,
-        "instance_path": getattr(args, "instance", None),
+        "instance_path": args.instance,
         "family": args.family, "n": args.n, "k": args.k,
         "class_size": args.class_size, "class_family": args.class_family,
         "epsilon": args.epsilon, "delta": args.delta, "alpha": args.alpha,
@@ -307,14 +304,14 @@ def cmd_solve(args) -> int:
                 instance_seed=args.instance_seed if args.instance_seed is not None
                 else args.seed,
                 trace=not args.no_trace)
-    row = _new_row(task) if args.csv else None
+    row = _new_row(task)
     report, ev, wall_ms = _run_cell(task, row)
     payload = report.to_dict(include_trace=not args.no_trace)
     payload["evaluation"] = ev
     if args.timing:
         payload["wall_ms"] = wall_ms
     _write_json(args.out, payload)
-    if row is not None:
+    if args.csv:
         _write_csv(args.csv, [row])
     return 0
 
@@ -409,19 +406,20 @@ def cmd_audit(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: parsing leaves no state in
-    it, and every call returns a fresh namespace."""
+    it, and every call returns a fresh namespace.  Flags are matched by their
+    full names only, never by a prefix."""
     parser = argparse.ArgumentParser(
-        prog="multidist",
+        prog="multidist", allow_abbrev=False,
         description="Multi-distribution learning dynamics with exact auditing")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate an instance file")
+    p_gen = sub.add_parser("gen", help="generate an instance file", allow_abbrev=False)
     _add_generator_flags(p_gen)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", help="run one algorithm once")
+    p_solve = sub.add_parser("solve", help="run one algorithm once", allow_abbrev=False)
     _add_run_flags(p_solve)
     p_solve.add_argument("--instance-seed", type=int, default=None,
                          help="seed for the generated instance (default: --seed)")
@@ -430,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-trace", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", help="grid of runs -> CSV")
+    p_sweep = sub.add_parser("sweep", help="grid of runs -> CSV", allow_abbrev=False)
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--grid-epsilon", help="comma list of epsilons")
     p_sweep.add_argument("--grid-k", help="comma list of k values")
@@ -439,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_audit = sub.add_parser("audit", help="failure-frequency estimate")
+    p_audit = sub.add_parser("audit", help="failure-frequency estimate", allow_abbrev=False)
     _add_run_flags(p_audit)
     p_audit.add_argument("--trials", type=int, default=20)
     p_audit.add_argument("--jobs", type=int, default=1)
@@ -457,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -25,19 +25,19 @@ blocks.  The dynamics loop calls ``_mixture_index`` every round (the index
 ``rng.choice(k, p=p)`` would draw), bisects the table's CDF list within
 that distribution's atoms, and ledgers a block at once.
 
-The exact VC search works from both ends.  Bottom up, a subset scan tries
-the levels m = 1, 2, ... over the subsets in ``itertools.combinations``
-order; it keeps the label codes of each prefix of the current subset, so a
-subset costs one add, and tests shattering by counting the distinct codes
-with ``np.bincount``.  Top down, a closure starts from the packed bitset of
-the codes no row takes and ANDs it with its flip along one point at a time
-(a shift and a mask inside a word for points 0..5, two runs of words for
-the others); the n - r points outside a set R of r points are shattered
-iff the closure over R is empty.  ``_closure_pays(n, m, |class|)`` hands
-the levels from m up to the closure where its whole cost, in words, is at
-most an eighth of a full scan of level m, in labels: from level 8 at n = 12,
-|class| = 1024; never at n = 8, |class| = 24, nor at any n >= 15 under the
-VC guard.  The versions these three kernels replaced (and the old
+The exact VC search, ``brute_force_vc``, works from both ends.  Bottom up,
+a subset scan tries the levels m = 1, 2, ... over the subsets in
+``itertools.combinations`` order; it keeps the label codes of each prefix
+of the current subset, so a subset costs one add, and tests shattering by
+counting the distinct codes with ``np.bincount``.  Top down, a closure
+starts from the packed bitset of the codes no row takes and ANDs it with
+its flip along one point at a time (a shift and a mask inside a word for
+points 0..5, two runs of words for the others); the n - r points outside a
+set R of r points are shattered iff the closure over R is empty.
+``_closure_pays(n, m, |class|)`` hands the levels from m up to the closure
+where its whole cost, in words, is at most an eighth of a full scan of
+level m, in labels: from level 8 at n = 12, |class| = 1024; never at n = 8,
+|class| = 24, nor at any n >= 15 under the VC guard.  The versions these three kernels replaced (and the old
 distribution checks) are kept in ``tests/reference_kernels.py``.
 """
 
@@ -468,11 +468,11 @@ class MdlInstance:
     @classmethod
     def from_dict(cls, obj: dict) -> "MdlInstance":
         """The instance of a JSON object shaped as ``to_dict`` writes it; a
-        ValueError names the first field of another JSON type."""
+        ValueError names the first field missing or of another JSON type."""
         number = (int, float, str)  # a string fails its own field's check
-        size = _json(_json(obj, dict, "the instance")["domain_size"], number, "domain_size")
+        size = _json(_json(obj, dict, "the instance").get("domain_size"), number, "domain_size")
         n = int(_integers(np.asarray(size), "domain_size"))
-        dists = _json(obj["distributions"], list, "distributions")
+        dists = _json(obj.get("distributions"), list, "distributions")
         atoms = [_json(a, list, "an atom") for d in dists for a in _json(d, list, "a distribution")]
         if not all(isinstance(v, number) for a in atoms for v in a):
             raise ValueError("malformed instance: an atom entry has the wrong JSON type")
@@ -480,8 +480,8 @@ class MdlInstance:
         keys = [repr(d) for d in dists]
         built = {key: FiniteDistribution([(x, y, p) for x, y, p in d])
                  for key, d in dict(zip(keys, dists)).items()}
-        cobj = _json(obj["class"], dict, "class")
-        hclass = HypothesisClass.from_family(cobj["family"], n, _json(
+        cobj = _json(obj.get("class"), dict, "class")
+        hclass = HypothesisClass.from_family(cobj.get("family"), n, _json(
             cobj.get("hypotheses"), (list, type(None)), "hypotheses"))
         return cls(n, [built[key] for key in keys], hclass)
 
@@ -578,10 +578,12 @@ def oracle_sample_many(instance: MdlInstance, i: int | Sequence[int], count: int
 
 
 def _check_mixture(weights: np.ndarray, k: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights)
+    if w.dtype.kind not in "fiu":  # as for masses: a string is not parsed
+        raise ValueError("mixture weights must be numbers")
     if w.shape != (k,):
         raise ValueError(f"mixture weights must have length {k}")
-    return _normalized(w, "mixture weights")
+    return _normalized(w.astype(np.float64, copy=False), "mixture weights")
 
 
 def mixture_sample(instance: MdlInstance, weights: Sequence[float],
@@ -730,10 +732,12 @@ def _closure_pays(n: int, m: int, size: int) -> bool:
     return 8 * _closure_cost(n, m) <= comb(n, m) * size
 
 
-def _brute_force_vc(hclass: HypothesisClass, n: int, closure_pays) -> int:
-    """Exact VC dimension: the subset scan level by level from m = 1, until
-    ``closure_pays(n, m, |class|)`` hands the levels from m up to the
-    closure."""
+def brute_force_vc(hclass: HypothesisClass, n: int) -> int:
+    """Exact VC dimension of the class on points 0..n-1 (guarded to small
+    inputs), from both ends: the subset scan tries the levels m = 1, 2, ...
+    bottom up, and at the first level where ``_closure_pays(n, m, |class|)``
+    holds, the closure over the missing codes decides the levels from m up
+    top down."""
     if n > VC_MAX_DOMAIN or len(hclass) > VC_MAX_CLASS:
         raise GuardError(
             f"VC guard: need n <= {VC_MAX_DOMAIN} and |class| <= {VC_MAX_CLASS}")
@@ -742,20 +746,11 @@ def _brute_force_vc(hclass: HypothesisClass, n: int, closure_pays) -> int:
     for m in range(1, n + 1):
         if size < (1 << m):
             return m - 1
-        if closure_pays(n, m, size):
+        if _closure_pays(n, m, size):
             return _closure_vc(cols, m)
         if not _shatters_some(cols, m):
             return m - 1
     return n
-
-
-def brute_force_vc(hclass: HypothesisClass, n: int) -> int:
-    """Exact VC dimension of the class on points 0..n-1 (guarded to small
-    inputs), from both ends: the subset scan tries the levels m = 1, 2, ...
-    bottom up, and at the first level where ``_closure_pays(n, m, |class|)``
-    holds, the closure over the missing codes decides the levels from m up
-    top down."""
-    return _brute_force_vc(hclass, n, _closure_pays)
 
 
 def vc_dimension(hclass: HypothesisClass) -> int:

@@ -204,17 +204,20 @@ def _check_exp3_rates(eta: float, exploration: float) -> None:
         raise ValueError("exploration must be in [0, 1]")
 
 
-def _exp3_step(w: np.ndarray, chosen: int, observed_cost: float, eta: float,
-               exploration: float) -> np.ndarray:
-    """The update of :func:`exp3_step`, in place on a plain array (returned);
-    only the played arm's probability is checked: the estimate divides by it."""
-    prob = float(w[chosen])
+def _exp3_step(state: np.ndarray, played: np.ndarray, chosen: int, observed_cost: float,
+               eta: float, exploration: float) -> np.ndarray:
+    """Exp3's update in place on plain arrays: the unmixed `state` steps on
+    the cost divided by the `played` probability and is renormalized, and
+    `played` (returned) becomes it mixed with uniform at the exploration
+    rate.  One array as both is :func:`exp3_step`'s one-step form.  Only the
+    played arm's probability is checked: the estimate divides by it."""
+    prob = float(played[chosen])
     if prob <= 0.0:
         raise ValueError("chosen arm has zero sampling probability")
-    w[chosen] *= np.exp(-eta * (observed_cost / prob))
-    np.divide(w, np.add.reduce(w), out=w)
-    np.multiply(w, 1.0 - exploration, out=w)
-    return np.add(w, exploration / len(w), out=w)
+    state[chosen] *= np.exp(-eta * (observed_cost / prob))
+    np.divide(state, np.add.reduce(state), out=state)
+    np.multiply(state, 1.0 - exploration, out=played)
+    return np.add(played, exploration / len(played), out=played)
 
 
 def exp3_step(w: SimplexWeights, chosen: int, observed_cost: float, eta: float,
@@ -227,7 +230,8 @@ def exp3_step(w: SimplexWeights, chosen: int, observed_cost: float, eta: float,
     if not 0.0 <= observed_cost <= 1.0:
         raise ValueError("observed cost must be in [0, 1]")
     _check_exp3_rates(eta, exploration)
-    return SimplexWeights(_exp3_step(w.w.copy(), chosen, observed_cost, eta, exploration))
+    v = w.w.copy()
+    return SimplexWeights(_exp3_step(v, v, chosen, observed_cost, eta, exploration))
 
 
 def smooth_cap(k: int) -> float:

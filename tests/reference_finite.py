@@ -3,11 +3,12 @@ tests.
 
 These are the finite loop, its Exp3 step and ERM as they ran before they
 moved onto plain arrays and counts: the loop draws through
-``oracle_sample`` and validates each step through the public
-``SimplexWeights`` wrappers (``hedge_step_cost``, ``exp3_step``), the Exp3
-step updates a copy, and ERM averages a boolean mistake table.  The
-array-native versions in ``multidist`` must return the same results, bit
-for bit.  The slow VC reference is in ``reference_kernels``.
+``oracle_sample``, validates each learner step through the public
+``hedge_step_cost`` and each played Exp3 distribution through
+``SimplexWeights``, the Exp3 step updates a copy, and ERM averages a
+boolean mistake table.  The array-native versions in ``multidist`` must
+return the same results, bit for bit.  The slow VC reference is in
+``reference_kernels``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from multidist.model import (
     SampleLedger,
     oracle_sample,
 )
-from multidist.online import SimplexWeights, exp3_step, hedge_step_cost
+from multidist.online import SimplexWeights, hedge_step_cost
 
 
 def reference_finite_loop(instance: MdlInstance, hclass: HypothesisClass,
@@ -38,6 +39,7 @@ def reference_finite_loop(instance: MdlInstance, hclass: HypothesisClass,
         class_size, k, epsilon, delta, C)
     learner = SimplexWeights.uniform(class_size)
     adversary = SimplexWeights.uniform(k)
+    state = adversary.w.copy()  # Exp3's unmixed weights; it plays their mix
     mean_weights = np.zeros(class_size)
     for t in range(T):
         mean_weights += learner.w
@@ -52,8 +54,9 @@ def reference_finite_loop(instance: MdlInstance, hclass: HypothesisClass,
                           "learner_id": int(np.argmax(learner.w)),
                           "chosen": chosen, "observed_loss": observed_loss})
         learner = hedge_step_cost(learner, costs, eta_learner)
-        adversary = exp3_step(adversary, chosen, 1.0 - observed_loss,
-                              eta_exp3, exploration)
+        state[chosen] *= np.exp(-eta_exp3 * ((1.0 - observed_loss) / adversary.w[chosen]))
+        state = state / state.sum()
+        adversary = SimplexWeights((1.0 - exploration) * state + exploration / k)
     mean_weights /= T
     meta = {"T": T, "eta_learner": eta_learner, "eta_exp3": eta_exp3,
             "exploration": exploration, "class_size": class_size}

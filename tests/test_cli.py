@@ -175,6 +175,22 @@ class TestSolve:
                     str(tmp_path / "r.json"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--algo", "mid", "--est", "unbiased"),
+        ("solve", "--algo", "mid", "--no-tr"),
+        ("sweep", "--algo", "fast", "--grid-e", "0.3"),
+        ("gen", "--fam", "random"),
+    ])
+    def test_flag_prefix_is_usage_error(self, argv, tmp_path, capsys):
+        # argparse once took an unambiguous prefix for its flag, so a
+        # mistyped flag, or a renamed one, still parsed
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_guard_violation_exit_code(self, tmp_path):
         code = run_cli("solve", "--algo", "fast", "--family", "random",
                        "--n", "24", "--class-size", "8",
@@ -314,6 +330,31 @@ class TestSolve:
         assert code == 2
         assert err.startswith("configuration error:") and message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, message", [
+        (("domain_size",), "domain_size has the wrong JSON type"),
+        (("distributions",), "distributions has the wrong JSON type"),
+        (("class",), "class has the wrong JSON type"),
+        (("class", "family"), "unknown family None"),
+    ])
+    def test_missing_field_exit_code(self, where, message, tmp_path, capsys):
+        # a missing field once raised a KeyError, which main caught and
+        # reported as its bare quoted name
+        obj = MdlInstance(2, [FiniteDistribution([(1, 1, 1.0)])],
+                          HypothesisClass([[0, 1], [1, 1]])).to_dict()
+        node = obj
+        for key in where[:-1]:
+            node = node[key]
+        del node[where[-1]]
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(obj))
+        out = tmp_path / "r.json"
+        code = run_cli("solve", "--algo", "fast", "--instance", str(inst),
+                       "--no-trace", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and message in err
         assert not out.exists()
 
     def test_nan_mass_exit_code(self, tmp_path, capsys):

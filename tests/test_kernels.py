@@ -22,7 +22,6 @@ from multidist.model import (
     HypothesisClass,
     MdlInstance,
     SampleLedger,
-    _brute_force_vc,
     _closure_pays,
     _closure_vc,
     _draws,
@@ -113,17 +112,15 @@ def _cube_class(rng: np.random.Generator, n: int, m: int, extra: int) -> Hypothe
     return HypothesisClass(rows)
 
 
-def _never(n, m, size):
-    return False
-
-
 def _assert_vc_paths_agree(hclass: HypothesisClass, n: int, closure_alone: bool = True) -> int:
     """The selecting brute_force_vc, the subset scan alone, the closure alone
     (from level 1; its levels grow as 2^n, so only up to n = 14) and the
     reference give one VC dimension, which is returned."""
     want = reference_brute_force_vc(hclass, n)
     assert brute_force_vc(hclass, n) == want, (n, len(hclass))
-    assert _brute_force_vc(hclass, n, _never) == want, (n, len(hclass))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_closure_pays", lambda n, m, size: False)
+        assert brute_force_vc(hclass, n) == want, (n, len(hclass))
     if closure_alone:
         cols = np.ascontiguousarray(hclass.matrix[:, :n].T, dtype=np.int64)
         assert _closure_vc(cols, 1) == want, (n, len(hclass))

@@ -328,6 +328,16 @@ class TestMixtureSample:
             mixture_sample(inst, weights, make_rng(0), ledger)
         assert ledger.total == 0
 
+    @pytest.mark.parametrize("weights", [["0.5", "0.5"], [True, False], [None, None]])
+    def test_rejects_weights_that_are_not_numbers(self, weights):
+        # string weights were once parsed, and the mixture drawn
+        inst = _instance([FiniteDistribution([(0, 0, 1.0)]),
+                          FiniteDistribution([(1, 1, 1.0)])])
+        ledger = SampleLedger(2)
+        with pytest.raises(ValueError, match="mixture weights must be numbers"):
+            mixture_sample(inst, weights, make_rng(0), ledger)
+        assert ledger.total == 0
+
 
 class _FixedUniform(np.random.Generator):
     """A generator whose every uniform is `u`.  ``choice`` draws through

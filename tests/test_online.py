@@ -500,7 +500,7 @@ class TestExp3:
             cost, eta, exploration = rng.random(), rng.random(), rng.random()
             expected = reference_exp3_step(w, chosen, cost, eta, exploration)
             got = w.copy()
-            assert _exp3_step(got, chosen, cost, eta, exploration) is got
+            assert _exp3_step(got, got, chosen, cost, eta, exploration) is got
             assert got.tobytes() == expected.tobytes()
 
     def test_public_step_leaves_its_input(self):
